@@ -53,6 +53,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     Callable,
     Dict,
@@ -65,7 +66,12 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ConfigurationError, SweepTaskError, SweepWorkerError
+from repro.errors import (
+    ConfigurationError,
+    SweepError,
+    SweepTaskError,
+    SweepWorkerError,
+)
 from repro.experiments import cache
 from repro.experiments.report import format_progress, format_sweep_summary
 from repro.obs.export import ObsDirWriter
@@ -570,8 +576,12 @@ def replicate_many(
     out: List[ReplicatedResult] = []
     per_pair = len(seeds)
     for _ in pairs:
-        chunk = (next(results) for _ in range(per_pair))
+        chunk = islice(results, per_pair)
         out.append(ReplicatedResult.aggregate(chunk, keep_runs=keep_runs))
+    # Run the generator to its end, not just to its last result: what
+    # follows the final yield (the --obs-dir manifest) must happen too.
+    if next(results, None) is not None:
+        raise SweepError(f"sweep yielded more than its {len(tasks)} results")
     return out
 
 

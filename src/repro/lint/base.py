@@ -22,6 +22,26 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 #: these is considered a scheduling module (see ``ModuleContext``).
 SCHEDULING_METHODS = frozenset({"schedule", "schedule_at", "call", "call_chained"})
 
+#: ``Simulator.lane(delay)``: where a constant-delay lane's delay is given
+#: (and validated, once).  The ``Lane`` it returns schedules through
+#: ``lane.call(fn, *args)`` — callback first, no delay argument.
+LANE_FACTORY = "lane"
+
+
+def callback_candidates(call: ast.Call) -> List[ast.expr]:
+    """Positional arguments of a scheduling call that may be its callback.
+
+    The simulator's methods take ``(delay, fn, *args)`` and ``Lane.call``
+    takes ``(fn, *args)``.  Both are spelled ``.call(`` and the receiver's
+    type is not known syntactically, so for ``call`` either of the first
+    two arguments may be the callback; consumers keep whichever is a
+    lambda or resolves to a function (a delay expression does neither).
+    """
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "call":
+        return call.args[:2]
+    return call.args[1:2]
+
 
 @dataclass(frozen=True)
 class Finding:

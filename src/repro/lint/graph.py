@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.base import SCHEDULING_METHODS
+from repro.lint.base import SCHEDULING_METHODS, callback_candidates
 from repro.lint.noqa import NoqaMap, noqa_map
 
 #: Bump when the serialized model layout changes; stale caches are rebuilt.
@@ -893,9 +893,11 @@ class _FunctionScanner(ast.NodeVisitor):
         if isinstance(func, ast.Attribute) and func.attr in SCHEDULING_METHODS:
             receiver = dotted(func.value)
             base = receiver.split(".")[0] if receiver else ""
-            callback: Tuple[str, ...] = ()
-            if len(node.args) >= 2:
-                callback = self._func_ref_targets(node.args[1])
+            callback: Tuple[str, ...] = tuple(
+                target
+                for candidate in callback_candidates(node)
+                for target in self._func_ref_targets(candidate)
+            )
             self.info.schedule_calls.append(ScheduleCall(
                 line=node.lineno, col=node.col_offset, method=func.attr,
                 receiver_kind=self._receiver_kind(base) if base else "unknown",

@@ -21,9 +21,11 @@ import ast
 from typing import List, Optional, Set
 
 from repro.lint.base import (
+    LANE_FACTORY,
     SCHEDULING_METHODS,
     Checker,
     ModuleContext,
+    callback_candidates,
     dotted_name,
     register,
 )
@@ -261,7 +263,7 @@ class UnorderedIterationChecker(Checker):
 
 @register
 class ScheduleArgumentChecker(Checker):
-    """SIM001: suspicious arguments to ``schedule``/``schedule_at``/``call``.
+    """SIM001: suspicious arguments to ``schedule``/``schedule_at``/``call``/``lane``.
 
     Two statically provable misuses:
 
@@ -366,19 +368,21 @@ class ScheduleArgumentChecker(Checker):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in SCHEDULING_METHODS
-            and node.args
+        if isinstance(func, ast.Attribute) and node.args and (
+            func.attr in SCHEDULING_METHODS or func.attr == LANE_FACTORY
         ):
+            # A lane's delay is given at ``sim.lane(delay)``; where the first
+            # argument is a callback (``lane.call(fn, ...)``) this is a no-op.
             reason = self._is_bad_delay(node.args[0])
             if reason is not None:
                 self.report(node, reason)
-            if len(node.args) >= 2 and isinstance(node.args[1], ast.Lambda):
-                captured = self._lambda_closes_over_loop_var(node.args[1])
+            for candidate in callback_candidates(node):
+                if not isinstance(candidate, ast.Lambda):
+                    continue
+                captured = self._lambda_closes_over_loop_var(candidate)
                 if captured is not None:
                     self.report(
-                        node.args[1],
+                        candidate,
                         f"lambda callback closes over loop variable {captured!r}",
                     )
         self.generic_visit(node)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Protocol
 from repro.errors import ConfigurationError
 from repro.net.packet import BEST_EFFORT, DATA, PROBE, Packet
 from repro.net.queues import QueueDiscipline
-from repro.sim.engine import Simulator, TraceSink
+from repro.sim.engine import Lane, Simulator, TraceSink
 from repro.units import BITS_PER_BYTE
 
 
@@ -89,7 +89,7 @@ class OutputPort:
 
     __slots__ = ("sim", "rate_bps", "qdisc", "prop_delay", "name", "busy",
                  "stats", "_tx_per_byte", "enabled", "capacity_factor",
-                 "loss_model", "fault_drops", "trace")
+                 "loss_model", "fault_drops", "trace", "_wire")
 
     def __init__(
         self,
@@ -114,6 +114,10 @@ class OutputPort:
         self.stats = PortStats()
         # Seconds to serialize one byte; multiplied per packet in the hot path.
         self._tx_per_byte = BITS_PER_BYTE / rate_bps
+        # The propagation delay never changes, so arrivals leave the wire
+        # in the order they entered it: a constant-delay lane, shared with
+        # every port of the same delay.  A zero-delay hop has no wire.
+        self._wire: Optional[Lane] = sim.lane(prop_delay) if prop_delay > 0 else None
         # Fault-injection state (repro.faults): a disabled port blackholes
         # traffic, a capacity factor < 1 slows serialization, and an
         # attached loss model drops arrivals on the wire.
@@ -210,18 +214,17 @@ class OutputPort:
             # category; sample it (ObsConfig.sample_every) in real runs.
             tr.emit("tx", self.sim.now, port=self.name, kind=kind,
                     size=pkt.size, flow=pkt.flow.flow_id, seq=pkt.seq)
-        if self.prop_delay > 0:
-            self.sim.call(self.prop_delay, self._arrive, pkt)
+        # Hand-off: the next hop is resolved here, once, and is what fires
+        # at the far end of the wire (nothing reads ``pkt.hop`` in between).
+        hop = pkt.hop + 1
+        pkt.hop = hop
+        route = pkt.route
+        target = route[hop].send if hop < len(route) else pkt.sink.receive
+        wire = self._wire
+        if wire is not None:
+            wire.call(target, pkt)
         else:
-            # Zero-delay hop: :meth:`_arrive` unrolled inline — this runs
-            # once per packet, and the call itself is measurable.
-            hop = pkt.hop + 1
-            pkt.hop = hop
-            route = pkt.route
-            if hop < len(route):
-                route[hop].send(pkt)
-            else:
-                pkt.sink.receive(pkt)
+            target(pkt)
         # Self-clocked transmit chain: while the backlog lasts, the next
         # serialization is scheduled from inside this completion through
         # the engine's chain slot — one heap operation per busy period,
@@ -289,13 +292,6 @@ class OutputPort:
             )
         self.capacity_factor = factor
         self._tx_per_byte = BITS_PER_BYTE / (self.rate_bps * factor)
-
-    def _arrive(self, pkt: Packet) -> None:
-        pkt.hop += 1
-        if pkt.hop < len(pkt.route):
-            pkt.route[pkt.hop].send(pkt)
-        else:
-            pkt.sink.receive(pkt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

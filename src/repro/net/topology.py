@@ -2,8 +2,8 @@
 
 A :class:`Network` is a thin registry: nodes are names, a directed link
 ``u -> v`` owns one :class:`~repro.net.link.OutputPort`, and routes are
-minimum-hop paths computed with :mod:`networkx` and returned as ordered
-port lists ready to stamp onto packets.
+minimum-hop paths (breadth-first search) returned as ordered port lists
+ready to stamp onto packets.
 
 Two builders cover the paper's topologies:
 
@@ -16,9 +16,8 @@ Two builders cover the paper's topologies:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.errors import TopologyError
 from repro.net.link import OutputPort
@@ -34,7 +33,8 @@ class Network:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.graph = nx.DiGraph()
+        #: node -> its successors; nodes and successors in insertion order.
+        self._successors: Dict[str, List[str]] = {}
         self._ports: Dict[Tuple[str, str], OutputPort] = {}
         self._route_cache: Dict[Tuple[str, str], List[OutputPort]] = {}
 
@@ -42,7 +42,7 @@ class Network:
 
     def add_node(self, name: str) -> None:
         """Register a node; adding an existing node is harmless."""
-        self.graph.add_node(name)
+        self._successors.setdefault(name, [])
 
     def add_link(
         self,
@@ -63,7 +63,9 @@ class Network:
         port = OutputPort(
             self.sim, rate_bps, qdisc_factory(), prop_delay, name=f"{u}->{v}"
         )
-        self.graph.add_edge(u, v)
+        self.add_node(u)
+        self.add_node(v)
+        self._successors[u].append(v)
         self._ports[(u, v)] = port
         self._route_cache.clear()
         if bidirectional:
@@ -89,11 +91,27 @@ class Network:
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        try:
-            nodes = nx.shortest_path(self.graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise TopologyError(f"no route {src}->{dst}: {exc}") from None
-        hops = [self._ports[(a, b)] for a, b in zip(nodes, nodes[1:])]
+        for node in key:
+            if node not in self._successors:
+                raise TopologyError(f"no route {src}->{dst}: unknown node {node!r}")
+        # Breadth-first search from ``src``; between equally short paths the
+        # link added first wins, so routes depend on nothing but the build.
+        came_from: Dict[str, Optional[str]] = {src: None}
+        frontier = deque([src])
+        while frontier and dst not in came_from:
+            node = frontier.popleft()
+            for successor in self._successors[node]:
+                if successor not in came_from:
+                    came_from[successor] = node
+                    frontier.append(successor)
+        if dst not in came_from:
+            raise TopologyError(f"no route {src}->{dst}: no path between them")
+        hops: List[OutputPort] = []
+        node = dst
+        while (previous := came_from[node]) is not None:
+            hops.append(self._ports[(previous, node)])
+            node = previous
+        hops.reverse()
         self._route_cache[key] = hops
         return hops
 

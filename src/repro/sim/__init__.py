@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate: engine, RNG streams, timers."""
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import EventHandle, Lane, Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import Timer
 
-__all__ = ["EventHandle", "RandomStreams", "Simulator", "Timer"]
+__all__ = ["EventHandle", "Lane", "RandomStreams", "Simulator", "Timer"]

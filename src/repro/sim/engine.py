@@ -22,9 +22,13 @@ dispatch order (DESIGN.md §11 gives the invariants):
   small-list freelist makes construction cheaper than reinitialising a
   recycled record, so recycling is reserved for the cancellation-heavy
   timer paths where it pays (bulk GC pressure, not construction cost);
-* **head lane** — events scheduled for exactly the current time bypass the
-  heap into a FIFO deque (its records are sorted by construction: time is
-  the non-decreasing clock, ``seq`` increases);
+* **constant-delay lanes** — :meth:`Simulator.lane` hands out one FIFO
+  deque per distinct fixed delay (a link's propagation delay, a source's
+  packet interval; delay 0 is where same-time events go).  ``now + delay``
+  is monotone in the non-decreasing clock and ``seq`` increases, so a lane
+  is sorted by construction and :meth:`Lane.call` is an append; the front
+  of every non-empty lane sits in one small heap of fronts that the
+  dispatch loop merges with the main heap on the same (time, seq) key;
 * **chain slot** — :meth:`call_chained` parks the *expected next* event of
   a self-clocked component (an output port serializing a queue backlog) in
   four scalar slots (time, seq, callback, args) rather than a record: a
@@ -62,7 +66,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Protocol
+from typing import Any, Callable, Deque, Dict, List, Optional, Protocol
 
 from repro.errors import SimulationError
 
@@ -99,8 +103,13 @@ class ProfileSink(Protocol):
 
 # Index constants for the event record; kept module-private.  ``step`` and
 # ``run`` share the pop-skip-cancelled pattern through these constants so the
-# two dispatch loops cannot drift apart.
-_TIME, _SEQ, _FN, _ARGS, _ALIVE = 0, 1, 2, 3, 4
+# two dispatch loops cannot drift apart.  Lane records carry a sixth field,
+# the deque they wait in, so the loop can advance the right lane.
+_TIME, _SEQ, _FN, _ARGS, _ALIVE, _QUEUE = 0, 1, 2, 3, 4, 5
+
+#: Stand-in for "no record" in :meth:`Simulator.run`'s selection: later than
+#: any event can be (event times are finite), so whatever faces it wins.
+_NEVER: List[Any] = [math.inf, 0, None, (), False]
 
 #: Minimum number of cancelled records before the engine considers
 #: compacting the heap (avoids rebuilding tiny calendars).
@@ -177,6 +186,41 @@ class EventHandle:
                 self._sim._note_cancelled()
 
 
+class Lane:
+    """Events that all fire one fixed ``delay`` after they are scheduled.
+
+    Obtained from :meth:`Simulator.lane`; components resolve theirs once
+    (a port from its propagation delay, a source from its packet interval)
+    and call :meth:`call` per packet.  Use a lane only for events with a
+    *fixed* delay that are never cancelled — like :meth:`Simulator.call`
+    there is no handle; guard in the callback instead.
+    """
+
+    __slots__ = ("delay", "_sim", "_queue")
+
+    def __init__(self, sim: "Simulator", delay: float) -> None:
+        self.delay = delay
+        self._sim = sim
+        self._queue: Deque[List[Any]] = deque()
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` to run :attr:`delay` seconds from now.
+
+        Same semantics (and the same ``seq``) as ``sim.call(delay, fn,
+        *args)``.  The clock never runs backwards and the delay is fixed,
+        so the new record sorts after everything already in the lane and
+        an append keeps it ordered; only a lane that was empty has to
+        announce its new front to the dispatch loop.
+        """
+        sim = self._sim
+        sim._seq = seq = sim._seq + 1
+        queue = self._queue
+        record = [sim.now + self.delay, seq, fn, args, True, queue]
+        if not queue:
+            heapq.heappush(sim._fronts, record)
+        queue.append(record)
+
+
 class Simulator:
     """Event calendar with a virtual clock.
 
@@ -197,7 +241,8 @@ class Simulator:
         something (e.g. the test suite) turned it on.
     """
 
-    __slots__ = ("now", "strict", "trace", "_heap", "_head", "_free",
+    __slots__ = ("now", "strict", "trace", "_heap", "_lanes", "_fronts",
+                 "_now_lane", "_free",
                  "_chain_time", "_chain_seq", "_chain_fn", "_chain_args",
                  "_seq", "_stopped", "_events_processed", "_cancelled",
                  "_cancel_total", "_compactions", "_profile")
@@ -210,9 +255,12 @@ class Simulator:
         self.trace: Optional[TraceSink] = None
         self._profile: Optional[ProfileSink] = None
         self._heap: List[List[Any]] = []
-        #: FIFO lane for events scheduled at exactly the current time;
-        #: sorted by (time, seq) by construction.
-        self._head: Deque[List[Any]] = deque()
+        #: Constant-delay lanes by delay (see :meth:`lane`), and the heap
+        #: holding the front record of every non-empty one.
+        self._lanes: Dict[float, Lane] = {}
+        self._fronts: List[List[Any]] = []
+        #: Where events scheduled for exactly the current time go.
+        self._now_lane: Lane = self.lane(0.0)
         #: The chain slot (see call_chained) is four scalar slots rather
         #: than an event record: chained events cannot be cancelled, so
         #: they need no ``alive`` flag, no handle, and no record traffic
@@ -233,10 +281,10 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------
 
-    # NOTE: the three schedulers repeat the free-list pop + reinitialise
-    # sequence inline rather than sharing an ``_acquire`` helper: they are
-    # called once per event, and a Python-level call per schedule is the
-    # single biggest constant the profile shows on the datapath.
+    # NOTE: the schedulers repeat the delay validation (and ``schedule_at``
+    # the free-list reinitialise) inline rather than sharing a helper: they
+    # are called once per event, and a Python-level call per schedule is
+    # the single biggest constant the profile shows on the datapath.
 
     def _release(self, record: List[Any]) -> None:
         """Recycle a dead record (drop callback refs so nothing is pinned)."""
@@ -244,6 +292,24 @@ class Simulator:
         if len(free) < _FREE_MAX:
             record[_FN] = record[_ARGS] = None
             free.append(record)
+
+    def lane(self, delay: float) -> Lane:
+        """The :class:`Lane` for events scheduled ``delay`` seconds ahead.
+
+        One lane exists per distinct delay: components that ask for the
+        same delay share it.  The delay is validated here, once, so
+        :meth:`Lane.call` does not have to.
+        """
+        lane = self._lanes.get(delay)
+        if lane is None:
+            if not (delay >= 0):  # rejects negatives and NaN in one comparison
+                if math.isnan(delay):
+                    raise SimulationError("cannot schedule at a NaN delay")
+                raise SimulationError(f"cannot schedule {delay!r}s in the past")
+            if delay == math.inf:
+                raise SimulationError(f"cannot schedule at non-finite delay {delay!r}")
+            lane = self._lanes[delay] = Lane(self, delay)
+        return lane
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -259,7 +325,8 @@ class Simulator:
         Identical semantics to :meth:`schedule` but skips the
         :class:`EventHandle` allocation; use it for the per-packet events of
         the datapath, which are never cancelled (their callbacks guard on
-        component state instead).
+        component state instead).  A delay that is the same every time
+        belongs on a :meth:`lane` instead.
         """
         if not (delay >= 0):
             if math.isnan(delay):
@@ -268,26 +335,24 @@ class Simulator:
         when = self.now + delay
         if when == math.inf:
             raise SimulationError(f"cannot schedule at non-finite time {when!r}")
-        self._seq += 1
-        record = [when, self._seq, fn, args, True]
         if when > self.now:
-            heapq.heappush(self._heap, record)
+            self._seq += 1
+            heapq.heappush(self._heap, [when, self._seq, fn, args, True])
         else:
-            # schedule_at_head: ``when >= now`` already held above, so the
-            # else-branch means "exactly now" — the event sorts after every
-            # pending same-time event (largest seq) and before everything
-            # later, and a FIFO sidesteps the heap entirely.
-            self._head.append(record)
+            # ``when >= now`` already held above, so this means "exactly
+            # now": the event sorts after every pending same-time event
+            # (largest seq) and before everything later — lane(0).
+            self._now_lane.call(fn, *args)
 
     def call_chained(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule the next link of a self-clocked event chain.
 
         Semantically identical to :meth:`call`; the event is parked in a
         one-deep scalar slot instead of the heap.  The dispatch loop
-        compares the slot against the heap and head-lane fronts, so when
-        the chained event is the earliest pending event — the common case
-        for an output port draining its backlog — it dispatches straight
-        from the slot with zero heap operations and no event record.  The
+        compares the slot against the heap and lane fronts, so when the
+        chained event is the earliest pending event — the common case for
+        an output port draining its backlog — it dispatches straight from
+        the slot with zero heap operations and no event record.  The
         slot only spills into the heap (as an ordinary record) when a
         second chain claims it.  Chained events cannot be cancelled;
         guard in the callback instead.
@@ -322,48 +387,57 @@ class Simulator:
             )
         if when == math.inf:
             raise SimulationError(f"cannot schedule at non-finite time {when!r}")
-        self._seq += 1
-        free = self._free
-        if free:
-            record = free.pop()
-            record[_TIME] = when
-            record[_SEQ] = self._seq
-            record[_FN] = fn
-            record[_ARGS] = args
-            record[_ALIVE] = True
-        else:
-            record = [when, self._seq, fn, args, True]
         if when > self.now:
+            self._seq += 1
+            free = self._free
+            if free:
+                record = free.pop()
+                record[_TIME] = when
+                record[_SEQ] = self._seq
+                record[_FN] = fn
+                record[_ARGS] = args
+                record[_ALIVE] = True
+            else:
+                record = [when, self._seq, fn, args, True]
             heapq.heappush(self._heap, record)
         else:
-            # The head lane again: ``when`` equals the current time.
-            self._head.append(record)
+            # lane(0) again: ``when`` equals the current time.
+            self._now_lane.call(fn, *args)
+            record = self._now_lane._queue[-1]
         return EventHandle(record, self._seq, self)
 
     # -- execution ------------------------------------------------------
 
-    def _pop_live(self) -> Optional[List[Any]]:
-        """Pop the next live record across the three lanes.
+    def _advance_lane(self, record: List[Any]) -> None:
+        """Remove ``record`` — the front of the fronts heap — from its lane."""
+        queue = record[_QUEUE]
+        queue.popleft()
+        if queue:
+            heapq.heapreplace(self._fronts, queue[0])
+        else:
+            heapq.heappop(self._fronts)
 
-        The readable implementation of the three-lane pop-skip-cancelled
-        pattern (``run`` unrolls the same logic; the golden tests pin the
-        two loops together): the earliest of the heap front, the head-lane
-        front, and the chain slot wins.  Record comparison is (time, seq)
-        lexicographic — ``seq`` is unique, so list comparison never reaches
-        the callback fields — and the scalar chain slot is compared on the
-        same key.  A winning chain is materialized into an ordinary record
-        so :meth:`_dispatch` handles all three lanes identically.
+    def _pop_live(self, until: float = math.inf) -> Optional[List[Any]]:
+        """Pop the next live record due by ``until``; ``None`` if there is none.
+
+        The readable implementation of the pop-skip-cancelled pattern
+        (``run`` unrolls the same logic; the golden and differential tests
+        pin the loops together): the earliest of the heap front, the
+        earliest lane front, and the chain slot wins.  Record comparison is
+        (time, seq) lexicographic — ``seq`` is unique, so list comparison
+        never reaches the callback fields — and the scalar chain slot is
+        compared on the same key.  A winning chain is materialized into an
+        ordinary record so :meth:`_dispatch` handles every source alike;
+        an event that is not yet due stays parked where it is.
         """
         heap = self._heap
-        head = self._head
-        pop = heapq.heappop
-        cancelled = self._cancelled
+        fronts = self._fronts
         while True:
             record: Optional[List[Any]] = heap[0] if heap else None
-            lane = 1
-            if head and (record is None or head[0] < record):
-                record = head[0]
-                lane = 2
+            in_lane = False
+            if fronts and (record is None or fronts[0] < record):
+                record = fronts[0]
+                in_lane = True
             chain_fn = self._chain_fn
             if chain_fn is not None:
                 chain_time = self._chain_time
@@ -373,24 +447,26 @@ class Simulator:
                     or chain_time < record[_TIME]
                     or (chain_time == record[_TIME] and chain_seq < record[_SEQ])
                 ):
+                    if chain_time > until:
+                        return None
                     chain_args = self._chain_args
                     self._chain_fn = None
                     self._chain_args = ()
-                    self._cancelled = max(0, cancelled)
                     return [chain_time, chain_seq, chain_fn, chain_args, True]
             if record is None:
-                break
-            if lane == 1:
-                pop(heap)
+                return None
+            if record[_TIME] > until and record[_ALIVE]:
+                return None
+            if in_lane:
+                self._advance_lane(record)
             else:
-                head.popleft()
+                heapq.heappop(heap)
             if record[_ALIVE]:
-                self._cancelled = max(0, cancelled)
                 return record
-            cancelled -= 1
+            # Cancelled garbage: recycle the record and keep looking.
+            if self._cancelled > 0:
+                self._cancelled -= 1
             self._release(record)
-        self._cancelled = max(0, cancelled)
-        return None
 
     def _dispatch(self, record: List[Any]) -> None:
         """Advance the clock to ``record``, recycle it, and fire its callback."""
@@ -476,7 +552,8 @@ class Simulator:
         event are the dominant constant, so the hot loop pays for neither.
         :meth:`step` keeps the readable helper-based form; the golden
         byte-identity tests (``tests/unit/test_golden_identity.py``) and the
-        engine unit tests pin the two forms to identical observable behavior.
+        differential property test (``tests/property/
+        test_engine_properties.py``) pin the forms to identical behavior.
         """
         if self._profile is not None:
             # Profiling replaces the unrolled loop wholesale so the
@@ -485,41 +562,50 @@ class Simulator:
             self._run_profiled(until)
             return
         self._stopped = False
+        horizon = math.inf if until is None else until
+        strict = self.strict
         heap = self._heap  # _compact mutates in place, so the alias holds
-        head = self._head
+        fronts = self._fronts
         free = self._free
         pop = heapq.heappop
+        replace = heapq.heapreplace
         while not self._stopped:
             chain_fn = self._chain_fn
-            if chain_fn is None and not head:
-                # Hot case: only the heap is occupied — straight pop, no
-                # lane comparisons at all.
+            if chain_fn is None and not fronts:
+                # Only the heap is occupied: straight pop, nothing to compare.
                 if not heap:
                     break
-                record: Optional[List[Any]] = pop(heap)
+                record = pop(heap)
+                when = record[_TIME]
+                if when > horizon and record[_ALIVE]:
+                    heapq.heappush(heap, record)  # not yet due: back it goes
+                    break
             else:
-                # -- select the earliest event across the three lanes ----
-                record = heap[0] if heap else None
-                lane = 1
-                if head and (record is None or head[0] < record):
-                    record = head[0]
-                    lane = 2
+                # -- select the earliest of heap front, lane fronts, chain --
+                if fronts:
+                    record = fronts[0]
+                    in_lane = True
+                    if heap and heap[0] < record:
+                        record = heap[0]
+                        in_lane = False
+                else:
+                    # No lane is occupied, so the chain slot is; with an
+                    # empty heap it faces the never-due sentinel and wins.
+                    record = heap[0] if heap else _NEVER
+                    in_lane = False
                 if chain_fn is not None:
                     when = self._chain_time
-                    if (
-                        record is None
-                        or when < record[_TIME]
-                        or (when == record[_TIME]
-                            and self._chain_seq < record[_SEQ])
+                    if when < record[_TIME] or (
+                        when == record[_TIME] and self._chain_seq < record[_SEQ]
                     ):
                         # The chain is due next: dispatch straight from the
                         # slot — no record, no heap op, no free-list
                         # traffic.  (The compaction check is skipped here;
                         # garbage only accumulates through the record
-                        # lanes, whose dispatch below still bounds it.)
-                        if until is not None and when > until:
+                        # sources, whose dispatch below still bounds it.)
+                        if when > horizon:
                             break  # not yet due; it simply stays parked
-                        if self.strict:
+                        if strict:
                             self._validate_dispatch(when)
                         args = self._chain_args
                         self._chain_fn = None
@@ -528,12 +614,18 @@ class Simulator:
                         self._events_processed += 1
                         chain_fn(*args)
                         continue
-                if record is None:
-                    break
-                if lane == 1:
-                    pop(heap)
+                when = record[_TIME]
+                if when > horizon and record[_ALIVE]:
+                    break  # not yet due; it stays parked where it is
+                if in_lane:
+                    queue = record[_QUEUE]
+                    queue.popleft()
+                    if queue:
+                        replace(fronts, queue[0])
+                    else:
+                        pop(fronts)
                 else:
-                    head.popleft()
+                    pop(heap)
             if not record[_ALIVE]:
                 # Cancelled garbage: recycle the record and keep popping.
                 cancelled = self._cancelled
@@ -544,13 +636,7 @@ class Simulator:
                     free.append(record)
                 continue
             # -- dispatch ------------------------------------------------
-            when = record[_TIME]
-            if until is not None and when > until:
-                # Not yet due: put it back and stop.  The heap is correct
-                # for records from any lane — ordering is (time, seq).
-                heapq.heappush(heap, record)
-                break
-            if self.strict:
+            if strict:
                 self._validate_dispatch(when)
             cancelled = self._cancelled
             if cancelled >= _COMPACT_MIN and cancelled > len(heap) // 2:
@@ -563,36 +649,30 @@ class Simulator:
             # True]`` cheaper than a reinitialise, so the free list is fed
             # by the cancelled-skip path above (where records arrive in
             # bulk) and consumed by the handle-returning schedulers.
-            fn = record[_FN]
-            args = record[_ARGS]
-            fn(*args)
+            record[_FN](*record[_ARGS])
         if until is not None and self.now < until and not self._stopped:
             self.now = until
 
     def _run_profiled(self, until: Optional[float]) -> None:
         """The :meth:`run` loop with per-callback wall-time accounting.
 
-        Built from the readable :meth:`_pop_live` helper (the golden tests
-        pin it to ``run``'s unrolled form), with the injected clock sampled
-        around every callback.  Dispatch order, clock advancement, and the
-        ``until`` push-back semantics are identical to :meth:`run`; the only
-        difference is that a not-yet-due *chained* event is materialized
-        into the heap rather than left parked — an internal-representation
-        difference with no observable effect (ordering is (time, seq)).
+        Built from the readable :meth:`_pop_live` helper (the golden and
+        differential tests pin it to ``run``'s unrolled form), with the
+        injected clock sampled around every callback.  Dispatch order,
+        clock advancement, and the ``until`` semantics are identical to
+        :meth:`run`.
         """
         profile = self._profile
         assert profile is not None
         clock = profile.clock
         record_cb = profile.record
+        horizon = math.inf if until is None else until
         self._stopped = False
         while not self._stopped:
-            record = self._pop_live()
+            record = self._pop_live(horizon)
             if record is None:
                 break
             when = record[_TIME]
-            if until is not None and when > until:
-                heapq.heappush(self._heap, record)
-                break
             if self.strict:
                 self._validate_dispatch(when)
             if self._cancelled >= _COMPACT_MIN and self._cancelled > len(self._heap) // 2:
@@ -630,7 +710,8 @@ class Simulator:
     def pending(self) -> int:
         """Number of events still pending (excluding cancelled garbage)."""
         count = sum(1 for record in self._heap if record[_ALIVE])
-        count += sum(1 for record in self._head if record[_ALIVE])
+        for lane in self._lanes.values():
+            count += sum(1 for record in lane._queue if record[_ALIVE])
         if self._chain_fn is not None:
             count += 1
         return count
@@ -643,7 +724,7 @@ class Simulator:
     @property
     def garbage_ratio(self) -> float:
         """Fraction of the calendar occupied by cancelled-but-unpopped records."""
-        size = len(self._heap) + len(self._head)
+        size = len(self._heap) + sum(len(lane._queue) for lane in self._lanes.values())
         if size == 0:
             return 0.0
         return self._cancelled / size
@@ -655,7 +736,7 @@ class Simulator:
 
     @property
     def scheduled(self) -> int:
-        """Total number of events ever scheduled (all three lanes)."""
+        """Total number of events ever scheduled (heap, lanes and chain slot)."""
         return self._seq
 
     @property

@@ -38,6 +38,7 @@ class ConstantRateSource(Source):
         if rate_bps <= 0:
             raise ConfigurationError(f"rate must be positive, got {rate_bps!r}")
         self.rate_bps = rate_bps
+        self._tick_lane = sim.lane(self.interval)
         self._epoch = 0
 
     @property
@@ -50,6 +51,7 @@ class ConstantRateSource(Source):
         if rate_bps <= 0:
             raise ConfigurationError(f"rate must be positive, got {rate_bps!r}")
         self.rate_bps = rate_bps
+        self._tick_lane = self.sim.lane(self.interval)
 
     def start(self) -> None:
         super().start()
@@ -66,4 +68,4 @@ class ConstantRateSource(Source):
         if not self.running or epoch != self._epoch:
             return
         self._emit()
-        self.sim.call(self.interval, self._tick, epoch)
+        self._tick_lane.call(self._tick, epoch)

@@ -55,7 +55,9 @@ class OnOffSource(Source):
         self.mean_off = mean_off
         self.rng = rng
         self.on = False
-        self._packet_interval = packet_bytes * BITS_PER_BYTE / burst_rate_bps
+        # A burst is a fixed-interval train: its ticks ride a constant-delay
+        # lane (shared by every source with the same packet interval).
+        self._tick_lane = sim.lane(packet_bytes * BITS_PER_BYTE / burst_rate_bps)
         # Epoch counters make stale events self-cancelling, avoiding
         # EventHandle allocation on the per-packet path: every state change
         # bumps the epoch and pending events for old epochs die on arrival.
@@ -114,7 +116,7 @@ class OnOffSource(Source):
         if epoch != self._epoch or not self.on:
             return
         self._emit()
-        self.sim.call(self._packet_interval, self._emit_tick, epoch)
+        self._tick_lane.call(self._emit_tick, epoch)
 
 
 class ExponentialOnOffSource(OnOffSource):

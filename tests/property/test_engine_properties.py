@@ -1,5 +1,8 @@
 """Property-based tests for the event engine."""
 
+import bisect
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,3 +75,190 @@ def test_clock_is_monotone_under_chained_scheduling(ds):
     sim.run()
     assert observed == sorted(observed)
     assert len(observed) == len(ds) + 1
+
+
+# -- differential: every dispatch path against a sorted list ------------------
+#
+# A *program* is a forest of operations.  An event operation ``(kind, delay,
+# children)`` schedules one event through the named scheduling method; when
+# the event fires it logs ``(time, seq, label)`` and issues its children (so
+# scheduling nests inside callbacks).  ``("cancel", k)`` cancels the k-th
+# handle obtained so far.  The engine — through ``run``, a ``step`` loop,
+# split ``run(until)`` horizons and the profiled loop, strict or not — must
+# fire exactly what the reference calendar below fires.
+
+HANDLE_KINDS = ("schedule", "schedule_at")
+KINDS = HANDLE_KINDS + ("call", "call_chained", "lane")
+
+# Mostly a handful of values, so that ties, shared lanes and same-time
+# (delay 0) events are the rule rather than the exception.
+tie_prone_delays = st.one_of(
+    st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+)
+cancels = st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40))
+programs = st.lists(
+    st.recursive(
+        st.tuples(st.sampled_from(KINDS), tie_prone_delays, st.just(())),
+        lambda children: st.tuples(
+            st.sampled_from(KINDS), tie_prone_delays,
+            st.lists(st.one_of(children, cancels), max_size=4).map(tuple),
+        ),
+        max_leaves=25,
+    ),
+    min_size=1, max_size=10,
+)
+horizons = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]),  # often exactly an event time
+        st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+    ),
+    max_size=4,
+).map(sorted)
+
+
+class ReferenceCalendar:
+    """What the engine must be indistinguishable from: one sorted list."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.scheduled = 0
+        self._pending = []
+
+    def add(self, kind, delay, fn, *args):
+        self.scheduled += 1
+        entry = [self.now + delay, self.scheduled, fn, args, True]
+        bisect.insort(self._pending, entry)  # (time, seq); seq is unique
+        return entry if kind in HANDLE_KINDS else None
+
+    def cancel(self, entry):
+        entry[4] = False
+
+    def drive(self):
+        while self._pending:
+            when, _seq, fn, args, alive = self._pending.pop(0)
+            if alive:
+                self.now = when
+                fn(*args)
+
+
+class EngineCalendar:
+    """The same interface over a Simulator and one way of driving it."""
+
+    def __init__(self, sim, drive):
+        self.sim = sim
+        self.drive = lambda: drive(sim)
+
+    @property
+    def now(self):
+        return self.sim.now
+
+    @property
+    def scheduled(self):
+        return self.sim.scheduled
+
+    def add(self, kind, delay, fn, *args):
+        sim = self.sim
+        if kind == "schedule":
+            return sim.schedule(delay, fn, *args)
+        if kind == "schedule_at":
+            return sim.schedule_at(sim.now + delay, fn, *args)
+        if kind == "call":
+            sim.call(delay, fn, *args)
+        elif kind == "call_chained":
+            sim.call_chained(delay, fn, *args)
+        else:
+            sim.lane(delay).call(fn, *args)
+        return None
+
+    def cancel(self, handle):
+        handle.cancel()
+
+
+def execute(program, calendar):
+    """Run ``program`` on ``calendar``; returns the (time, seq, label) log."""
+    log = []
+    handles = []
+
+    def fire(seq, label, children):
+        log.append((calendar.now, seq, label))
+        issue(children, label)
+
+    def issue(operations, prefix):
+        for i, operation in enumerate(operations):
+            if operation[0] == "cancel":
+                if handles:
+                    calendar.cancel(handles[operation[1] % len(handles)])
+                continue
+            kind, delay, children = operation
+            handle = calendar.add(
+                kind, delay, fire, calendar.scheduled + 1, f"{prefix}/{i}", children,
+            )
+            if handle is not None:
+                handles.append(handle)
+
+    issue(program, "")
+    calendar.drive()
+    return log
+
+
+class CountingProfile:
+    """A ProfileSink whose injected clock is a counter."""
+
+    def __init__(self):
+        self.clock = itertools.count().__next__
+        self.calls = 0
+
+    def record(self, key, seconds):
+        self.calls += 1
+
+
+def _drive_run(sim):
+    sim.run()
+
+
+def _drive_step(sim):
+    while sim.step():
+        pass
+
+
+def _drive_split(split_at, due_by):
+    def drive(sim):
+        for horizon, due in zip(split_at, due_by):
+            sim.run(until=horizon)
+            assert sim.now == horizon
+            assert sim.events_processed == due, f"run(until={horizon!r})"
+        sim.run()
+    return drive
+
+
+def _profiled(drive):
+    def profiled_drive(sim):
+        profile = CountingProfile()
+        sim.enable_profiling(profile)
+        drive(sim)
+        assert profile.calls == sim.events_processed
+    return profiled_drive
+
+
+@given(programs, horizons, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_every_dispatch_path_matches_the_reference_calendar(program, split_at, strict):
+    reference = ReferenceCalendar()
+    expected = execute(program, reference)
+    # run(until=h) fires what is due by h — an event at exactly h included.
+    due_by = [sum(when <= h for when, _, _ in expected) for h in split_at]
+    drives = {
+        "run": _drive_run,
+        "step": _drive_step,
+        "split run(until)": _drive_split(split_at, due_by),
+        "profiled": _profiled(_drive_run),
+        "profiled split": _profiled(_drive_split(split_at, due_by)),
+    }
+    for name, drive in drives.items():
+        sim = Simulator(strict=strict)
+        fired = execute(program, EngineCalendar(sim, drive))
+        assert fired == expected, name
+        assert sim.scheduled == reference.scheduled, name
+        assert sim.events_processed == len(expected), name
+        assert sim.pending == 0, name

@@ -58,6 +58,16 @@ def test_negative_fixture_is_clean(code):
     assert report.files_checked >= 2
 
 
+def test_lane_scheduled_callbacks_are_in_the_sim_domain():
+    """``Lane.call(fn, ...)`` has the callback first: both the chained
+    ``sim.lane(d).call(fn)`` and the stored-lane form must put ``fn`` in the
+    sim scheduling domain, or XMOD003 silently loses coverage."""
+    report = lint_fixture("xmod003_lane_pos")
+    assert {finding.code for finding in report.findings} == {"XMOD003"}
+    symbols = {finding.symbol for finding in report.findings}
+    assert symbols == {"pkg.cbmod._tick", "pkg.cbmod.Ticker._fire"}
+
+
 def test_xmod001_reports_both_shapes():
     """The positive fixture has a global-receiver AND a global-write case."""
     report = lint_fixture("xmod001_pos")

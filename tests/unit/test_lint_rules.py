@@ -237,6 +237,36 @@ def test_sim001_lambda_with_default_binding_is_clean():
     assert codes_for(source) == []
 
 
+def test_sim001_bad_lane_delay():
+    source = """
+        import math
+        def f(sim):
+            sim.lane(-0.5)
+            sim.lane(math.nan)
+    """
+    assert codes_for(source) == ["SIM001", "SIM001"]
+
+
+def test_sim001_lane_lambda_over_loop_variable():
+    source = """
+        def f(sim, items):
+            lane = sim.lane(0.5)
+            for item in items:
+                lane.call(lambda: print(item))
+    """
+    assert codes_for(source) == ["SIM001"]
+
+
+def test_sim001_lane_call_is_clean():
+    source = """
+        def f(sim, items):
+            lane = sim.lane(0.5)
+            for item in items:
+                lane.call(print, item)
+    """
+    assert codes_for(source) == []
+
+
 def test_sim001_positive_delay_is_clean():
     source = """
         def f(sim):

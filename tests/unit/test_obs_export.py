@@ -153,3 +153,25 @@ class TestSweepExport:
         self._sweep(tmp_path / "hit", jobs=1)
         assert ((tmp_path / "warm" / "manifest.json").read_bytes()
                 == (tmp_path / "hit" / "manifest.json").read_bytes())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replicate_many_writes_the_manifest(self, tmp_path, jobs):
+        """``replicate_many`` (what ``repro-eac figure --obs-dir`` goes
+        through) must run the sweep generator to its end: the manifest is
+        written after the last result is yielded."""
+        marking = EndpointDesign(CongestionSignal.MARK, ProbeBand.IN_BAND,
+                                 ProbingScheme.SLOW_START)
+        pairs = [(fast_config(0), DESIGN), (fast_config(0), marking)]
+        parallel.set_obs_dir(str(tmp_path))
+        try:
+            replicated = parallel.replicate_many(pairs, seeds=(1, 2), jobs=jobs)
+        finally:
+            parallel.set_obs_dir(None)
+        assert [r.seeds for r in replicated] == [[1, 2], [1, 2]]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [r["name"] for r in manifest["runs"]] == [
+            "0000-drop-in-band-slow-start-s1",
+            "0001-drop-in-band-slow-start-s2",
+            "0002-mark-in-band-slow-start-s1",
+            "0003-mark-in-band-slow-start-s2",
+        ]

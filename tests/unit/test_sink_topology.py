@@ -87,6 +87,40 @@ class TestNetwork:
         with pytest.raises(TopologyError):
             net.route("a", "b")
 
+    def test_unknown_node_raises(self, sim):
+        net = Network(sim)
+        net.add_node("a")
+        with pytest.raises(TopologyError, match="unknown node 'z'"):
+            net.route("a", "z")
+        with pytest.raises(TopologyError, match="unknown node 'z'"):
+            net.route("z", "a")
+
+    def test_route_to_self_is_empty(self, sim):
+        net = Network(sim)
+        net.add_node("a")
+        assert net.route("a", "a") == []
+
+    def test_route_is_minimum_hop_and_ties_go_to_the_first_link(self, sim):
+        net = Network(sim)
+        net.add_link("a", "x", 1e6, qdisc)      # long way round: a-x-y-d
+        net.add_link("x", "y", 1e6, qdisc)
+        net.add_link("y", "d", 1e6, qdisc)
+        via_c = [net.add_link("a", "c", 1e6, qdisc),
+                 net.add_link("c", "d", 1e6, qdisc)]
+        net.add_link("a", "b", 1e6, qdisc)      # as short as via c, added later
+        net.add_link("b", "d", 1e6, qdisc)
+        assert net.route("a", "d") == via_c
+        with pytest.raises(TopologyError, match="no path"):
+            net.route("d", "a")                  # links are directed
+
+    def test_new_link_invalidates_cached_routes(self, sim):
+        net = Network(sim)
+        net.add_link("a", "b", 1e6, qdisc)
+        net.add_link("b", "c", 1e6, qdisc)
+        assert len(net.route("a", "c")) == 2
+        shortcut = net.add_link("a", "c", 1e6, qdisc)
+        assert net.route("a", "c") == [shortcut]
+
     def test_unknown_port_raises(self, sim):
         net = Network(sim)
         with pytest.raises(TopologyError):
