@@ -31,7 +31,6 @@ import ast
 import hashlib
 import json
 import os
-import time
 from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -271,7 +270,6 @@ def _disk_store(config: ScenarioConfig, design: ControllerSpec, result: Scenario
     payload = {
         "schema": SCHEMA_VERSION,
         "key": key,
-        "created_unix": time.time(),
         "controller": result.controller_name,
         "seed": result.seed,
         "result": asdict(result),

@@ -61,7 +61,6 @@ WALLCLOCK_DATETIME_FACTORIES = frozenset({"now", "utcnow", "today"})
 #: list); taint neither originates in nor propagates through these modules.
 WALLCLOCK_EXEMPT_PATH_PARTS: Tuple[str, ...] = (
     "benchmarks/",
-    "experiments/cache",
     "experiments/parallel",
     "repro/perf",
 )

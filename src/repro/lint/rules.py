@@ -136,20 +136,19 @@ class WallClockChecker(_AliasTrackingChecker):
     """DET002: wall-clock reads inside simulation code.
 
     Simulation time is ``sim.now``; real time differs on every run and
-    every machine.  Benchmarks and the experiment cache legitimately
-    measure or stamp wall time, so those paths are exempt.
+    every machine.  Benchmarks and the parallel sweep runner legitimately
+    measure wall time, so those paths are exempt.
     """
 
     code = "DET002"
     message = "wall-clock access in simulation code"
     hint = (
         "use sim.now for simulation time; wall-clock timing belongs in "
-        "benchmarks/, the experiment cache, or the parallel sweep runner"
+        "benchmarks/, repro.perf, or the parallel sweep runner"
     )
     tracked_modules = frozenset({"time", "datetime"})
     exempt_path_parts = (
         "benchmarks/",
-        "experiments/cache",
         "experiments/parallel",
         "repro/perf",
     )

@@ -9,7 +9,8 @@ exercises one layer of the fast path described in DESIGN.md §11:
   thousand background timers keep the calendar deep (the situation of a
   real sweep, where every saved heap operation is O(log n));
 * ``cancel-churn`` — schedule/cancel at the ratio a probe-heavy sweep
-  produces, exercising the cancelled-record free list and heap compaction;
+  produces, exercising the lazy-cancel skip in the dispatch loop and heap
+  compaction;
 * ``scenario-basic`` / ``scenario-high-load-flaky`` — end-to-end runs of
   the two representative scenarios at a small scale;
 * ``scenario-basic-traced`` — the basic scenario with the ``repro.obs``

@@ -11,17 +11,9 @@ of every experiment, so it favors plain data structures over abstraction:
 * callbacks receive their pre-bound positional arguments, avoiding closure
   allocation in inner loops.
 
-Three fast paths keep per-event constant costs down without changing
+Two fast paths keep per-event constant costs down without changing
 dispatch order (DESIGN.md §11 gives the invariants):
 
-* **record free list** — cancelled (and step-dispatched) records are
-  recycled into the next ``schedule``/``schedule_at`` instead of being
-  left to the garbage collector; handles remember their record's ``seq``
-  so a recycled record can never be cancelled through a stale handle.
-  The handle-less ``call`` builds records fresh: CPython's internal
-  small-list freelist makes construction cheaper than reinitialising a
-  recycled record, so recycling is reserved for the cancellation-heavy
-  timer paths where it pays (bulk GC pressure, not construction cost);
 * **constant-delay lanes** — :meth:`Simulator.lane` hands out one FIFO
   deque per distinct fixed delay (a link's propagation delay, a source's
   packet interval; delay 0 is where same-time events go).  ``now + delay``
@@ -37,6 +29,11 @@ dispatch order (DESIGN.md §11 gives the invariants):
   dispatched straight from the slots — zero heap operations and zero
   record traffic per link — and it simply waits (still in correct
   (time, seq) order) whenever another event is due sooner.
+
+Everything else has exactly one implementation: one loop
+(:meth:`Simulator._loop`) selects, pops and dispatches for :meth:`run`,
+:meth:`step` and profiled runs alike, and a record is built once, fires or
+is cancelled once, and is then left to the garbage collector.
 
 Event times are validated at scheduling time: a NaN deadline compares False
 against every bound (``when < self.now`` never fires), so without the check
@@ -66,7 +63,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Protocol
+from typing import Any, Callable, Deque, Dict, List, NoReturn, Optional, Protocol
 
 from repro.errors import SimulationError
 
@@ -101,23 +98,18 @@ class ProfileSink(Protocol):
         """Accumulate ``seconds`` of wall time against callback ``key``."""
         ...
 
-# Index constants for the event record; kept module-private.  ``step`` and
-# ``run`` share the pop-skip-cancelled pattern through these constants so the
-# two dispatch loops cannot drift apart.  Lane records carry a sixth field,
-# the deque they wait in, so the loop can advance the right lane.
+# Index constants for the event record; kept module-private.  Lane records
+# carry a sixth field, the deque they wait in, so the loop can advance the
+# right lane.
 _TIME, _SEQ, _FN, _ARGS, _ALIVE, _QUEUE = 0, 1, 2, 3, 4, 5
 
-#: Stand-in for "no record" in :meth:`Simulator.run`'s selection: later than
+#: Stand-in for "no record" in the dispatch loop's selection: later than
 #: any event can be (event times are finite), so whatever faces it wins.
 _NEVER: List[Any] = [math.inf, 0, None, (), False]
 
 #: Minimum number of cancelled records before the engine considers
 #: compacting the heap (avoids rebuilding tiny calendars).
 _COMPACT_MIN = 512
-
-#: Upper bound on recycled event records kept for reuse; beyond this the
-#: records are simply dropped for the garbage collector.
-_FREE_MAX = 256
 
 #: Process-wide default for ``Simulator(strict=None)``; see
 #: :func:`set_strict_default`.
@@ -143,47 +135,53 @@ def strict_default() -> bool:
     return _strict_default
 
 
+def _reject_delay(delay: float) -> NoReturn:
+    """Raise for a delay that failed the schedulers' ``delay >= 0`` test.
+
+    The schedulers keep that one comparison inline (a Python-level call per
+    schedule is the biggest constant the profile shows on the datapath) and
+    come here only to fail.
+    """
+    if math.isnan(delay):
+        raise SimulationError("cannot schedule at a NaN delay")
+    raise SimulationError(f"cannot schedule {delay!r}s in the past")
+
+
 class EventHandle:
     """A cancellable reference to a scheduled event.
 
     Cancellation is lazy: the record stays in the heap but is skipped when
     popped.  This makes cancel O(1) at the cost of a little heap garbage,
     which is the right trade-off for timers that are usually *not* cancelled.
-
-    The handle snapshots its record's ``seq`` (and fire time): once the
-    event has dispatched, its record may be recycled for an unrelated
-    future event, and the ``seq`` mismatch is what keeps a stale handle's
-    :meth:`cancel` from reaching through to the new occupant.
+    A record belongs to one event for life, so the handle is just a view of
+    it: ``alive`` goes False when the event fires or is cancelled, and
+    ``time`` keeps reading the fire time afterwards.
     """
 
-    __slots__ = ("_record", "_seq", "_time", "_sim")
+    __slots__ = ("_record", "_sim")
 
-    def __init__(
-        self, record: List[Any], seq: int, sim: Optional["Simulator"] = None
-    ) -> None:
+    def __init__(self, record: List[Any], sim: "Simulator") -> None:
         self._record = record
-        self._seq = seq
-        self._time = record[_TIME]
         self._sim = sim
 
     @property
     def time(self) -> float:
         """Absolute simulation time at which the event will fire."""
-        return float(self._time)
+        return float(self._record[_TIME])
 
     @property
     def alive(self) -> bool:
         """True while the event is still pending (not cancelled, not fired)."""
-        record = self._record
-        return record[_SEQ] == self._seq and bool(record[_ALIVE])
+        return bool(self._record[_ALIVE])
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Cancelling twice is harmless."""
         record = self._record
-        if record[_SEQ] == self._seq and record[_ALIVE]:
+        if record[_ALIVE]:
             record[_ALIVE] = False
-            if self._sim is not None:
-                self._sim._note_cancelled()
+            sim = self._sim
+            sim._cancelled += 1  # feeds the garbage ratio
+            sim._cancel_total += 1
 
 
 class Lane:
@@ -241,8 +239,7 @@ class Simulator:
         something (e.g. the test suite) turned it on.
     """
 
-    __slots__ = ("now", "strict", "trace", "_heap", "_lanes", "_fronts",
-                 "_now_lane", "_free",
+    __slots__ = ("now", "strict", "trace", "_heap", "_lanes", "_fronts", "_now_lane",
                  "_chain_time", "_chain_seq", "_chain_fn", "_chain_args",
                  "_seq", "_stopped", "_events_processed", "_cancelled",
                  "_cancel_total", "_compactions", "_profile")
@@ -270,8 +267,6 @@ class Simulator:
         self._chain_seq: int = 0
         self._chain_fn: Optional[Callable[..., Any]] = None
         self._chain_args: Any = ()
-        #: Recycled event records awaiting reuse.
-        self._free: List[List[Any]] = []
         self._seq: int = 0
         self._stopped: bool = False
         self._events_processed: int = 0
@@ -280,18 +275,6 @@ class Simulator:
         self._compactions: int = 0
 
     # -- scheduling -----------------------------------------------------
-
-    # NOTE: the schedulers repeat the delay validation (and ``schedule_at``
-    # the free-list reinitialise) inline rather than sharing a helper: they
-    # are called once per event, and a Python-level call per schedule is
-    # the single biggest constant the profile shows on the datapath.
-
-    def _release(self, record: List[Any]) -> None:
-        """Recycle a dead record (drop callback refs so nothing is pinned)."""
-        free = self._free
-        if len(free) < _FREE_MAX:
-            record[_FN] = record[_ARGS] = None
-            free.append(record)
 
     def lane(self, delay: float) -> Lane:
         """The :class:`Lane` for events scheduled ``delay`` seconds ahead.
@@ -303,9 +286,7 @@ class Simulator:
         lane = self._lanes.get(delay)
         if lane is None:
             if not (delay >= 0):  # rejects negatives and NaN in one comparison
-                if math.isnan(delay):
-                    raise SimulationError("cannot schedule at a NaN delay")
-                raise SimulationError(f"cannot schedule {delay!r}s in the past")
+                _reject_delay(delay)
             if delay == math.inf:
                 raise SimulationError(f"cannot schedule at non-finite delay {delay!r}")
             lane = self._lanes[delay] = Lane(self, delay)
@@ -313,10 +294,8 @@ class Simulator:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if not (delay >= 0):  # rejects negatives and NaN in one comparison
-            if math.isnan(delay):
-                raise SimulationError("cannot schedule at a NaN delay")
-            raise SimulationError(f"cannot schedule {delay!r}s in the past")
+        if not (delay >= 0):
+            _reject_delay(delay)
         return self.schedule_at(self.now + delay, fn, *args)
 
     def call(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -329,9 +308,7 @@ class Simulator:
         belongs on a :meth:`lane` instead.
         """
         if not (delay >= 0):
-            if math.isnan(delay):
-                raise SimulationError("cannot schedule at a NaN delay")
-            raise SimulationError(f"cannot schedule {delay!r}s in the past")
+            _reject_delay(delay)
         when = self.now + delay
         if when == math.inf:
             raise SimulationError(f"cannot schedule at non-finite time {when!r}")
@@ -358,9 +335,7 @@ class Simulator:
         guard in the callback instead.
         """
         if not (delay >= 0):
-            if math.isnan(delay):
-                raise SimulationError("cannot schedule at a NaN delay")
-            raise SimulationError(f"cannot schedule {delay!r}s in the past")
+            _reject_delay(delay)
         when = self.now + delay
         if when == math.inf:
             raise SimulationError(f"cannot schedule at non-finite time {when!r}")
@@ -389,151 +364,169 @@ class Simulator:
             raise SimulationError(f"cannot schedule at non-finite time {when!r}")
         if when > self.now:
             self._seq += 1
-            free = self._free
-            if free:
-                record = free.pop()
-                record[_TIME] = when
-                record[_SEQ] = self._seq
-                record[_FN] = fn
-                record[_ARGS] = args
-                record[_ALIVE] = True
-            else:
-                record = [when, self._seq, fn, args, True]
+            record = [when, self._seq, fn, args, True]
             heapq.heappush(self._heap, record)
         else:
             # lane(0) again: ``when`` equals the current time.
             self._now_lane.call(fn, *args)
             record = self._now_lane._queue[-1]
-        return EventHandle(record, self._seq, self)
+        return EventHandle(record, self)
 
     # -- execution ------------------------------------------------------
 
-    def _advance_lane(self, record: List[Any]) -> None:
-        """Remove ``record`` — the front of the fronts heap — from its lane."""
-        queue = record[_QUEUE]
-        queue.popleft()
-        if queue:
-            heapq.heapreplace(self._fronts, queue[0])
-        else:
-            heapq.heappop(self._fronts)
+    def _loop(self, horizon: float, single: bool) -> None:
+        """Dispatch events due by ``horizon`` in (time, seq) order.
 
-    def _pop_live(self, until: float = math.inf) -> Optional[List[Any]]:
-        """Pop the next live record due by ``until``; ``None`` if there is none.
+        The only code that selects, pops and dispatches: :meth:`run` and
+        :meth:`step` (``single``: return after one event) are thin callers.
+        The earliest of the heap root, the earliest lane front and the chain
+        slot wins.  Record comparison is (time, seq) lexicographic — ``seq``
+        is unique, so list comparison never reaches the callback fields —
+        and the scalar chain slot is compared on the same key.  An event
+        that is not yet due stays parked where it is.
 
-        The readable implementation of the pop-skip-cancelled pattern
-        (``run`` unrolls the same logic; the golden and differential tests
-        pin the loops together): the earliest of the heap front, the
-        earliest lane front, and the chain slot wins.  Record comparison is
-        (time, seq) lexicographic — ``seq`` is unique, so list comparison
-        never reaches the callback fields — and the scalar chain slot is
-        compared on the same key.  A winning chain is materialized into an
-        ordinary record so :meth:`_dispatch` handles every source alike;
-        an event that is not yet due stays parked where it is.
+        Everything that is not the production run — strict validation, an
+        installed profiler, single-stepping — hides behind the one local
+        ``careful``, fixed at entry and tested once per dispatch; the plain
+        branch advances the clock and fires the callback inline, because at
+        millions of events per sweep a Python-level call per event is the
+        dominant constant.
         """
-        heap = self._heap
+        self._stopped = False
+        careful = single or self.strict or self._profile is not None
+        heap = self._heap  # _compact mutates in place, so the alias holds
         fronts = self._fronts
-        while True:
-            record: Optional[List[Any]] = heap[0] if heap else None
-            in_lane = False
-            if fronts and (record is None or fronts[0] < record):
+        pop = heapq.heappop
+        replace = heapq.heapreplace
+        while not self._stopped:
+            # -- select the earliest of heap root, lane fronts, chain slot --
+            if fronts:
                 record = fronts[0]
                 in_lane = True
+                if heap and heap[0] < record:
+                    record = heap[0]
+                    in_lane = False
+            elif heap:
+                record = heap[0]
+                in_lane = False
+            elif self._chain_fn is None:
+                break  # the calendar is empty
+            else:
+                record = _NEVER  # only the chain slot is occupied: it wins
+                in_lane = False
             chain_fn = self._chain_fn
             if chain_fn is not None:
-                chain_time = self._chain_time
-                chain_seq = self._chain_seq
-                if (
-                    record is None
-                    or chain_time < record[_TIME]
-                    or (chain_time == record[_TIME] and chain_seq < record[_SEQ])
+                when = self._chain_time
+                if when < record[_TIME] or (
+                    when == record[_TIME] and self._chain_seq < record[_SEQ]
                 ):
-                    if chain_time > until:
-                        return None
-                    chain_args = self._chain_args
+                    # The chain is due next: dispatch straight from the
+                    # slot — no record, no heap op.  (The compaction check
+                    # is skipped here; garbage only accumulates through the
+                    # record sources, whose dispatch below still bounds it.)
+                    if when > horizon:
+                        break
+                    args = self._chain_args
                     self._chain_fn = None
                     self._chain_args = ()
-                    return [chain_time, chain_seq, chain_fn, chain_args, True]
-            if record is None:
-                return None
-            if record[_TIME] > until and record[_ALIVE]:
-                return None
+                    if careful:
+                        self._fire_carefully(when, chain_fn, args)
+                        if single:
+                            break
+                        continue
+                    self.now = when
+                    self._events_processed += 1
+                    chain_fn(*args)
+                    continue
+            when = record[_TIME]
+            if when > horizon and record[_ALIVE]:
+                break
             if in_lane:
-                self._advance_lane(record)
+                queue = record[_QUEUE]
+                queue.popleft()
+                if queue:
+                    replace(fronts, queue[0])
+                else:
+                    pop(fronts)
             else:
-                heapq.heappop(heap)
-            if record[_ALIVE]:
-                return record
-            # Cancelled garbage: recycle the record and keep looking.
-            if self._cancelled > 0:
-                self._cancelled -= 1
-            self._release(record)
+                pop(heap)
+            cancelled = self._cancelled
+            if not record[_ALIVE]:
+                # Cancelled garbage: drop it and keep looking.
+                if cancelled > 0:
+                    self._cancelled = cancelled - 1
+                continue
+            # -- dispatch ------------------------------------------------
+            if cancelled >= _COMPACT_MIN and cancelled > len(heap) // 2:
+                self._compact()
+            record[_ALIVE] = False
+            if careful:
+                self._fire_carefully(when, record[_FN], record[_ARGS])
+                if single:
+                    break
+                continue
+            self.now = when
+            self._events_processed += 1
+            record[_FN](*record[_ARGS])
 
-    def _dispatch(self, record: List[Any]) -> None:
-        """Advance the clock to ``record``, recycle it, and fire its callback."""
-        when = record[_TIME]
+    def _fire_carefully(
+        self, when: float, fn: Callable[..., Any], args: Any
+    ) -> None:
+        """Fire one event off the production path (see :meth:`_loop`).
+
+        Strict mode first checks what a linter cannot prove — the time is
+        still finite and the clock monotone, i.e. nobody mutated the record
+        after scheduling; an installed profiler brackets the callback with
+        two reads of its injected clock.
+        """
         if self.strict:
-            self._validate_dispatch(when)
-        if self._cancelled >= _COMPACT_MIN and self._cancelled > len(self._heap) // 2:
-            self._compact()
-        record[_ALIVE] = False
+            if not math.isfinite(when):
+                raise SimulationError(
+                    f"event record carries non-finite time {when!r} "
+                    "(mutated after scheduling?)"
+                )
+            if when < self.now:
+                raise SimulationError(
+                    f"clock would move backwards: event at t={when!r} dispatched "
+                    f"at t={self.now!r}"
+                )
         self.now = when
         self._events_processed += 1
-        fn = record[_FN]
-        args = record[_ARGS]
-        self._release(record)
+        profile = self._profile
+        if profile is None:
+            fn(*args)
+            return
+        key = getattr(fn, "__qualname__", None) or repr(fn)
+        clock = profile.clock
+        start = clock()
         fn(*args)
-
-    def _validate_dispatch(self, when: float) -> None:
-        """Strict-mode checks on the event about to fire."""
-        if not math.isfinite(when):
-            raise SimulationError(
-                f"event record carries non-finite time {when!r} "
-                "(mutated after scheduling?)"
-            )
-        if when < self.now:
-            raise SimulationError(
-                f"clock would move backwards: event at t={when!r} dispatched "
-                f"at t={self.now!r}"
-            )
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`EventHandle.cancel`; feeds the garbage ratio."""
-        self._cancelled += 1
-        self._cancel_total += 1
+        profile.record(key, clock() - start)
 
     def _compact(self) -> None:
-        """Rebuild the heap without cancelled records, recycling them.
+        """Rebuild the heap without its cancelled records.
 
-        The rebuild is in place (slice assignment) so that :meth:`run`'s
+        The rebuild is in place (slice assignment) so that the loop's
         local alias of the heap list stays valid across a compaction.
         """
         heap = self._heap
-        live = []
-        for record in heap:
-            if record[_ALIVE]:
-                live.append(record)
-            else:
-                self._release(record)
-        freed = len(heap) - len(live)
-        heap[:] = live
+        size = len(heap)
+        heap[:] = [record for record in heap if record[_ALIVE]]
         heapq.heapify(heap)
         self._cancelled = 0
         self._compactions += 1
         tr = self.trace
         if tr is not None:
             tr.emit("sim", self.now, event="compact",
-                    freed=freed, live=len(live))
+                    freed=size - len(heap), live=len(heap))
 
     def step(self) -> bool:
         """Run the single next pending event.
 
         Returns True if an event ran, False if the calendar is empty.
         """
-        record = self._pop_live()
-        if record is None:
-            return False
-        self._dispatch(record)
-        return True
+        before = self._events_processed
+        self._loop(math.inf, True)
+        return self._events_processed > before
 
     def run(self, until: Optional[float] = None) -> None:
         """Run events in time order.
@@ -544,149 +537,8 @@ class Simulator:
             If given, stop once the next event would fire strictly after
             ``until`` and advance the clock to exactly ``until``.  If omitted,
             run until the calendar drains or :meth:`stop` is called.
-
-        Notes
-        -----
-        The loop body is :meth:`_pop_live` + :meth:`_dispatch` unrolled by
-        hand: at millions of events per sweep the two Python-level calls per
-        event are the dominant constant, so the hot loop pays for neither.
-        :meth:`step` keeps the readable helper-based form; the golden
-        byte-identity tests (``tests/unit/test_golden_identity.py``) and the
-        differential property test (``tests/property/
-        test_engine_properties.py``) pin the forms to identical behavior.
         """
-        if self._profile is not None:
-            # Profiling replaces the unrolled loop wholesale so the
-            # production path below pays nothing — not even a per-event
-            # branch — when profiling is off.
-            self._run_profiled(until)
-            return
-        self._stopped = False
-        horizon = math.inf if until is None else until
-        strict = self.strict
-        heap = self._heap  # _compact mutates in place, so the alias holds
-        fronts = self._fronts
-        free = self._free
-        pop = heapq.heappop
-        replace = heapq.heapreplace
-        while not self._stopped:
-            chain_fn = self._chain_fn
-            if chain_fn is None and not fronts:
-                # Only the heap is occupied: straight pop, nothing to compare.
-                if not heap:
-                    break
-                record = pop(heap)
-                when = record[_TIME]
-                if when > horizon and record[_ALIVE]:
-                    heapq.heappush(heap, record)  # not yet due: back it goes
-                    break
-            else:
-                # -- select the earliest of heap front, lane fronts, chain --
-                if fronts:
-                    record = fronts[0]
-                    in_lane = True
-                    if heap and heap[0] < record:
-                        record = heap[0]
-                        in_lane = False
-                else:
-                    # No lane is occupied, so the chain slot is; with an
-                    # empty heap it faces the never-due sentinel and wins.
-                    record = heap[0] if heap else _NEVER
-                    in_lane = False
-                if chain_fn is not None:
-                    when = self._chain_time
-                    if when < record[_TIME] or (
-                        when == record[_TIME] and self._chain_seq < record[_SEQ]
-                    ):
-                        # The chain is due next: dispatch straight from the
-                        # slot — no record, no heap op, no free-list
-                        # traffic.  (The compaction check is skipped here;
-                        # garbage only accumulates through the record
-                        # sources, whose dispatch below still bounds it.)
-                        if when > horizon:
-                            break  # not yet due; it simply stays parked
-                        if strict:
-                            self._validate_dispatch(when)
-                        args = self._chain_args
-                        self._chain_fn = None
-                        self._chain_args = ()
-                        self.now = when
-                        self._events_processed += 1
-                        chain_fn(*args)
-                        continue
-                when = record[_TIME]
-                if when > horizon and record[_ALIVE]:
-                    break  # not yet due; it stays parked where it is
-                if in_lane:
-                    queue = record[_QUEUE]
-                    queue.popleft()
-                    if queue:
-                        replace(fronts, queue[0])
-                    else:
-                        pop(fronts)
-                else:
-                    pop(heap)
-            if not record[_ALIVE]:
-                # Cancelled garbage: recycle the record and keep popping.
-                cancelled = self._cancelled
-                if cancelled > 0:
-                    self._cancelled = cancelled - 1
-                if len(free) < _FREE_MAX:
-                    record[_FN] = record[_ARGS] = None
-                    free.append(record)
-                continue
-            # -- dispatch ------------------------------------------------
-            if strict:
-                self._validate_dispatch(when)
-            cancelled = self._cancelled
-            if cancelled >= _COMPACT_MIN and cancelled > len(heap) // 2:
-                self._compact()
-            record[_ALIVE] = False
-            self.now = when
-            self._events_processed += 1
-            # Dispatched records are *not* recycled here: CPython's own
-            # small-list freelist makes a fresh ``[when, seq, fn, args,
-            # True]`` cheaper than a reinitialise, so the free list is fed
-            # by the cancelled-skip path above (where records arrive in
-            # bulk) and consumed by the handle-returning schedulers.
-            record[_FN](*record[_ARGS])
-        if until is not None and self.now < until and not self._stopped:
-            self.now = until
-
-    def _run_profiled(self, until: Optional[float]) -> None:
-        """The :meth:`run` loop with per-callback wall-time accounting.
-
-        Built from the readable :meth:`_pop_live` helper (the golden and
-        differential tests pin it to ``run``'s unrolled form), with the
-        injected clock sampled around every callback.  Dispatch order,
-        clock advancement, and the ``until`` semantics are identical to
-        :meth:`run`.
-        """
-        profile = self._profile
-        assert profile is not None
-        clock = profile.clock
-        record_cb = profile.record
-        horizon = math.inf if until is None else until
-        self._stopped = False
-        while not self._stopped:
-            record = self._pop_live(horizon)
-            if record is None:
-                break
-            when = record[_TIME]
-            if self.strict:
-                self._validate_dispatch(when)
-            if self._cancelled >= _COMPACT_MIN and self._cancelled > len(self._heap) // 2:
-                self._compact()
-            record[_ALIVE] = False
-            self.now = when
-            self._events_processed += 1
-            fn = record[_FN]
-            args = record[_ARGS]
-            self._release(record)
-            key = getattr(fn, "__qualname__", None) or repr(fn)
-            start = clock()
-            fn(*args)
-            record_cb(key, clock() - start)
+        self._loop(math.inf if until is None else until, False)
         if until is not None and self.now < until and not self._stopped:
             self.now = until
 

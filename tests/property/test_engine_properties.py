@@ -83,9 +83,11 @@ def test_clock_is_monotone_under_chained_scheduling(ds):
 # children)`` schedules one event through the named scheduling method; when
 # the event fires it logs ``(time, seq, label)`` and issues its children (so
 # scheduling nests inside callbacks).  ``("cancel", k)`` cancels the k-th
-# handle obtained so far.  The engine — through ``run``, a ``step`` loop,
-# split ``run(until)`` horizons and the profiled loop, strict or not — must
-# fire exactly what the reference calendar below fires.
+# handle obtained so far and ``("stop",)`` halts the run from inside the
+# callback; a drive resumes a stopped run, so stopping never changes what
+# fires.  The engine — through ``run``, a ``step`` loop, split ``run(until)``
+# horizons and both mixed, profiled or not, strict or not — must fire exactly
+# what the reference calendar below fires.
 
 HANDLE_KINDS = ("schedule", "schedule_at")
 KINDS = HANDLE_KINDS + ("call", "call_chained", "lane")
@@ -97,12 +99,13 @@ tie_prone_delays = st.one_of(
     st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
 )
 cancels = st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40))
+stops = st.just(("stop",))
 programs = st.lists(
     st.recursive(
         st.tuples(st.sampled_from(KINDS), tie_prone_delays, st.just(())),
         lambda children: st.tuples(
             st.sampled_from(KINDS), tie_prone_delays,
-            st.lists(st.one_of(children, cancels), max_size=4).map(tuple),
+            st.lists(st.one_of(children, cancels, stops), max_size=4).map(tuple),
         ),
         max_leaves=25,
     ),
@@ -123,6 +126,7 @@ class ReferenceCalendar:
     def __init__(self):
         self.now = 0.0
         self.scheduled = 0
+        self.cancellations = 0  # effective ones: the event was still pending
         self._pending = []
 
     def add(self, kind, delay, fn, *args):
@@ -132,12 +136,19 @@ class ReferenceCalendar:
         return entry if kind in HANDLE_KINDS else None
 
     def cancel(self, entry):
-        entry[4] = False
+        if entry[4]:
+            entry[4] = False
+            self.cancellations += 1
+
+    def stop(self):
+        """Nothing to halt: drives resume a stopped run until it drains."""
 
     def drive(self):
         while self._pending:
-            when, _seq, fn, args, alive = self._pending.pop(0)
+            entry = self._pending.pop(0)
+            when, _seq, fn, args, alive = entry
             if alive:
+                entry[4] = False  # fired: cancelling it now counts nothing
                 self.now = when
                 fn(*args)
 
@@ -147,7 +158,8 @@ class EngineCalendar:
 
     def __init__(self, sim, drive):
         self.sim = sim
-        self.drive = lambda: drive(sim)
+        self.drive = lambda: drive(self)
+        self._stopped_at = None
 
     @property
     def now(self):
@@ -174,6 +186,22 @@ class EngineCalendar:
     def cancel(self, handle):
         handle.cancel()
 
+    def stop(self):
+        self.sim.stop()
+        self._stopped_at = (self.sim.now, self.sim.events_processed)
+
+    def run(self, until=None):
+        """``sim.run(until)``, resumed for as long as a ``stop()`` cuts it short."""
+        sim = self.sim
+        while True:
+            self._stopped_at = None
+            sim.run(until)
+            if self._stopped_at is None:
+                return
+            # Halted after the stopping event and nothing else: no later
+            # event fired and the clock did not jump ahead to ``until``.
+            assert (sim.now, sim.events_processed) == self._stopped_at
+
 
 def execute(program, calendar):
     """Run ``program`` on ``calendar``; returns the (time, seq, label) log."""
@@ -189,6 +217,9 @@ def execute(program, calendar):
             if operation[0] == "cancel":
                 if handles:
                     calendar.cancel(handles[operation[1] % len(handles)])
+                continue
+            if operation[0] == "stop":
+                calendar.stop()
                 continue
             kind, delay, children = operation
             handle = calendar.add(
@@ -213,31 +244,46 @@ class CountingProfile:
         self.calls += 1
 
 
-def _drive_run(sim):
-    sim.run()
+def _drive_run(calendar):
+    calendar.run()
 
 
-def _drive_step(sim):
-    while sim.step():
+def _drive_step(calendar):
+    while calendar.sim.step():
         pass
 
 
 def _drive_split(split_at, due_by):
-    def drive(sim):
+    def drive(calendar):
+        sim = calendar.sim
         for horizon, due in zip(split_at, due_by):
-            sim.run(until=horizon)
+            calendar.run(until=horizon)
             assert sim.now == horizon
             assert sim.events_processed == due, f"run(until={horizon!r})"
-        sim.run()
+        calendar.run()
+    return drive
+
+
+def _drive_mixed(split_at, due_by):
+    """``step()`` and ``run(until)`` alternating on one simulator."""
+    def drive(calendar):
+        sim = calendar.sim
+        for horizon, due in zip(split_at, due_by):
+            sim.step()  # may overshoot, making run(until=horizon) a no-op
+            calendar.run(until=horizon)
+            assert sim.now >= horizon
+            assert sim.events_processed >= due, f"run(until={horizon!r})"
+        while sim.step():
+            calendar.run(until=sim.now)  # whatever else is due at this instant
     return drive
 
 
 def _profiled(drive):
-    def profiled_drive(sim):
+    def profiled_drive(calendar):
         profile = CountingProfile()
-        sim.enable_profiling(profile)
-        drive(sim)
-        assert profile.calls == sim.events_processed
+        calendar.sim.enable_profiling(profile)
+        drive(calendar)
+        assert profile.calls == calendar.sim.events_processed
     return profiled_drive
 
 
@@ -252,7 +298,9 @@ def test_every_dispatch_path_matches_the_reference_calendar(program, split_at, s
         "run": _drive_run,
         "step": _drive_step,
         "split run(until)": _drive_split(split_at, due_by),
+        "mixed step / run(until)": _drive_mixed(split_at, due_by),
         "profiled": _profiled(_drive_run),
+        "profiled step": _profiled(_drive_step),
         "profiled split": _profiled(_drive_split(split_at, due_by)),
     }
     for name, drive in drives.items():
@@ -262,3 +310,5 @@ def test_every_dispatch_path_matches_the_reference_calendar(program, split_at, s
         assert sim.scheduled == reference.scheduled, name
         assert sim.events_processed == len(expected), name
         assert sim.pending == 0, name
+        assert sim.cancellations == reference.cancellations, name
+        assert sim.garbage_ratio == 0.0, name

@@ -96,6 +96,21 @@ def test_handle_reports_time_and_liveness(sim):
     assert not handle.alive
 
 
+@pytest.mark.parametrize("delay", [4.0, 0.0], ids=["heap record", "lane(0) record"])
+def test_handle_of_a_fired_event_is_inert(sim, delay):
+    sim.run(until=2.0)
+    handle = sim.schedule_at(sim.now + delay, lambda: None)
+    sim.schedule(9.0, lambda: None)  # stays pending, so garbage_ratio could move
+    sim.run(until=7.0)
+    assert sim.events_processed == 1
+    assert not handle.alive
+    assert handle.time == 2.0 + delay
+    handle.cancel()
+    assert sim.cancellations == 0
+    assert sim.garbage_ratio == 0.0
+    assert sim.pending == 1
+
+
 def test_negative_delay_rejected(sim):
     with pytest.raises(SimulationError):
         sim.schedule(-1.0, lambda: None)  # noqa: SIM001

@@ -165,8 +165,9 @@ def test_default_mode_compacts_too():
     """Compaction is part of the default engine, not a strict-only check.
 
     Long admission-control sweeps cancel enough timers for garbage to
-    dominate the calendar; the production hot path must shed it as well
-    (the promotion is benchmarked by ``repro.perf``'s cancel churn).
+    dominate the calendar, and with no record recycling the rebuild is the
+    only thing that bounds it, so ``step`` and ``run`` — one loop — shed
+    it in production mode too (timed by ``repro.perf``'s cancel churn).
     """
     sim = Simulator(strict=False)
     handles = [sim.schedule(10.0 + i, lambda: None) for i in range(2 * _COMPACT_MIN)]

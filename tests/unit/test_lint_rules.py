@@ -110,7 +110,9 @@ def test_det002_exempts_benchmarks_and_cache():
         t0 = time.perf_counter()
     """
     assert codes_for(source, path="benchmarks/test_speed.py") == []
-    assert codes_for(source, path="src/repro/experiments/cache.py") == []
+    assert codes_for(source, path="src/repro/experiments/parallel.py") == []
+    # The result cache is not a clock user: its entries carry no timestamp.
+    assert codes_for(source, path="src/repro/experiments/cache.py") == ["DET002"]
 
 
 def test_det002_time_sleep_not_flagged():

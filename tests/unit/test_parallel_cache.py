@@ -108,6 +108,18 @@ class TestDiskCache:
         # The disk hit was promoted into the memo.
         assert cache.lookup(config, DESIGN)[1] == "memo"
 
+    def test_entry_bytes_depend_only_on_the_result(self, tmp_path):
+        """No timestamp, pid or path inside: two stores, identical files."""
+        config = fast_config()
+        result = cache.cached_run(config, DESIGN)
+        entries = []
+        for name in ("first", "second"):
+            cache.set_cache_dir(tmp_path / name)
+            cache.store(config, DESIGN, result)
+            (entry,) = (tmp_path / name).glob("*.json")
+            entries.append((entry.name, entry.read_bytes()))
+        assert entries[0] == entries[1]
+
     def test_corrupt_file_recovered(self, tmp_path):
         cache.set_cache_dir(tmp_path)
         config = fast_config()
