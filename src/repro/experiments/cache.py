@@ -36,6 +36,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro import canonical
 from repro.experiments.runner import (
     ControllerSpec,
     ScenarioConfig,
@@ -159,9 +160,9 @@ def fingerprint_files() -> Tuple[str, ...]:
 
     The transitive ``repro.*`` import closure of the scenario runner and
     the scenario catalog — i.e. exactly the code that can influence a
-    simulation result.  Tooling-only packages (``repro.lint``,
-    ``repro.perf``) are unreachable from the runner and therefore excluded:
-    editing a lint rule does not invalidate a warm result cache.
+    simulation result.  Tooling-only packages (``repro.lint``) are
+    unreachable from the runner and therefore excluded: editing a lint
+    rule does not invalidate a warm result cache.
     """
     root = Path(__file__).resolve().parent.parent
     seen: Dict[str, Path] = {}
@@ -185,8 +186,8 @@ def code_fingerprint() -> str:
     simulator, traffic models, controllers, experiment plumbing — yields
     new keys, so results computed by old code are never served for new
     code.  The hash covers only the runner's import closure (see
-    :func:`fingerprint_files`), so purely tooling changes (lint rules, the
-    perf harness) keep a warm cache warm.  Computed once per process.
+    :func:`fingerprint_files`), so purely tooling changes (lint rules)
+    keep a warm cache warm.  Computed once per process.
     """
     global _code_fingerprint_cached
     if _code_fingerprint_cached is None:
@@ -208,16 +209,12 @@ def run_key(config: ScenarioConfig, design: ControllerSpec = None) -> str:
     the payload schema version, and the package code fingerprint.  Stable
     across processes, machines, and ``PYTHONHASHSEED`` values.
     """
-    material = json.dumps(
-        {
-            "config": _canonical(config),
-            "design": _canonical(design),
-            "schema": SCHEMA_VERSION,
-            "code": code_fingerprint(),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    material = canonical.dumps({
+        "config": _canonical(config),
+        "design": _canonical(design),
+        "schema": SCHEMA_VERSION,
+        "code": code_fingerprint(),
+    })
     return hashlib.sha256(material.encode()).hexdigest()
 
 
@@ -225,10 +222,15 @@ def run_key(config: ScenarioConfig, design: ControllerSpec = None) -> str:
 # disk tier
 # ---------------------------------------------------------------------------
 
-def _disk_path(key: str) -> Optional[Path]:
+def _disk_path(config: ScenarioConfig, design: ControllerSpec) -> Optional[Path]:
+    """Entry file of one run (``<run_key>.json``); ``None`` with the tier off.
+
+    The tier is tested first: the key needs the code fingerprint, an AST
+    walk over the source tree that a run without a disk cache never needs.
+    """
     if _disk_dir is None:
         return None
-    return _disk_dir / f"{key}.json"
+    return _disk_dir / f"{run_key(config, design)}.json"
 
 
 def _disk_load(config: ScenarioConfig, design: ControllerSpec) -> Optional[ScenarioResult]:
@@ -237,7 +239,7 @@ def _disk_load(config: ScenarioConfig, design: ControllerSpec) -> Optional[Scena
     A corrupt, truncated, or schema-mismatched file is deleted and ``None``
     returned — a bad cache entry costs one recomputation, never a crash.
     """
-    path = _disk_path(run_key(config, design))
+    path = _disk_path(config, design)
     if path is None:
         return None
     try:
@@ -263,22 +265,19 @@ def _disk_store(config: ScenarioConfig, design: ControllerSpec, result: Scenario
     sweep, or a second pytest session — sees either the complete entry or
     none; the corruption-tolerant reader handles everything else.
     """
-    key = run_key(config, design)
-    path = _disk_path(key)
+    path = _disk_path(config, design)
     if path is None:
         return
     payload = {
         "schema": SCHEMA_VERSION,
-        "key": key,
+        "key": path.stem,
         "controller": result.controller_name,
         "seed": result.seed,
         "result": asdict(result),
     }
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
+        canonical.atomic_write_text(path, canonical.dumps(payload))
     except OSError:
         # A read-only or full cache directory degrades to compute-always.
         pass

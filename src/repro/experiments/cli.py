@@ -26,12 +26,12 @@ output stays clean.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from repro import canonical
 from repro.core.design import (
     CongestionSignal,
     EndpointDesign,
@@ -208,14 +208,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"trace      : {len(lines)} records -> {args.trace}",
               file=sys.stderr)
     if args.metrics is not None:
-        Path(args.metrics).write_text(json.dumps(
-            result.metrics or {}, sort_keys=True, separators=(",", ":"),
-        ) + "\n")
+        Path(args.metrics).write_text(
+            canonical.dumps(result.metrics or {}) + "\n")
         print(f"metrics    : -> {args.metrics}", file=sys.stderr)
     if args.timeseries is not None:
-        Path(args.timeseries).write_text(json.dumps(
-            result.timeseries or {}, sort_keys=True, separators=(",", ":"),
-        ) + "\n")
+        Path(args.timeseries).write_text(
+            canonical.dumps(result.timeseries or {}) + "\n")
         samples = len((result.timeseries or {}).get("t", ()))
         print(f"timeseries : {samples} samples -> {args.timeseries}",
               file=sys.stderr)

@@ -19,11 +19,11 @@ experiment runner calls :func:`install_faults`.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import canonical
 from repro.faults.model import FaultConfig, FaultEvent, GilbertElliottModel
 from repro.net.link import OutputPort
 from repro.sim.engine import Simulator, TraceSink
@@ -159,9 +159,8 @@ class FaultSchedule:
 
     def trace_json(self) -> str:
         """Canonical JSON of the trace, for byte-identity assertions."""
-        return json.dumps(
-            [[event.time, event.port, event.action] for event in self.events],
-            separators=(",", ":"),
+        return canonical.dumps(
+            [[event.time, event.port, event.action] for event in self.events]
         )
 
 

@@ -27,6 +27,24 @@ SCHEDULING_METHODS = frozenset({"schedule", "schedule_at", "call", "call_chained
 #: ``lane.call(fn, *args)`` — callback first, no delay argument.
 LANE_FACTORY = "lane"
 
+#: Wall-clock reading functions of the ``time`` module (DET002, XMOD003).
+WALLCLOCK_TIME_FUNCTIONS = frozenset({
+    "time", "time_ns", "perf_counter", "perf_counter_ns",
+    "monotonic", "monotonic_ns", "process_time", "process_time_ns",
+    "clock_gettime", "clock_gettime_ns",
+})
+
+#: ``datetime``/``date`` factory methods that read the wall clock.
+WALLCLOCK_DATETIME_FACTORIES = frozenset({"now", "utcnow", "today"})
+
+#: Path substrings where wall-clock access is sanctioned: DET002 does not
+#: run there, and XMOD003 taint neither originates in nor propagates
+#: through these modules.
+WALLCLOCK_EXEMPT_PATH_PARTS: Tuple[str, ...] = (
+    "benchmarks/",
+    "experiments/parallel",
+)
+
 
 def callback_candidates(call: ast.Call) -> List[ast.expr]:
     """Positional arguments of a scheduling call that may be its callback.

@@ -7,9 +7,7 @@ Two analysis modes share the interface: the default per-module pass (one
 AST at a time, rules DET/SIM/FLT/ERR) and ``--graph``, which builds the
 whole-program project model once and runs the cross-module XMOD rules on
 it.  ``--graph`` additionally honors the committed baseline file
-(``lint_baseline.json``) and caches the project model under
-``.lint_cache/`` keyed on a content fingerprint, so warm CI runs skip
-straight to rule evaluation.
+(``lint_baseline.json``).
 """
 
 from __future__ import annotations
@@ -108,17 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
             "with --graph: write the current findings to the baseline file "
             "and exit 0 (rule-rollout / debt-recording workflow)"
         ),
-    )
-    parser.add_argument(
-        "--no-graph-cache",
-        action="store_true",
-        help="with --graph: always rebuild the project model from source",
-    )
-    parser.add_argument(
-        "--graph-cache",
-        metavar="FILE",
-        default=None,
-        help="with --graph: override the project-model cache location",
     )
     parser.add_argument(
         "--list-rules",
@@ -232,14 +219,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.graph:
         baseline_path = Path(args.baseline)
-        if args.graph_cache is not None:
-            cache_path: Optional[Path] = Path(args.graph_cache)
-        elif args.no_graph_cache:
-            cache_path = None
-        else:
-            from repro.lint.graph import DEFAULT_CACHE_PATH
-
-            cache_path = Path(DEFAULT_CACHE_PATH)
         try:
             baseline = [] if args.write_baseline else load_baseline(baseline_path)
         except BaselineError as exc:
@@ -250,7 +229,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 select=args.select,
                 ignore=args.ignore,
                 baseline=baseline,
-                cache_path=cache_path,
             )
         except ValueError as exc:
             parser.error(str(exc))

@@ -19,11 +19,8 @@ them.  This module parses the full tree **once** into a
   scheduled **sim-callback** seeds.
 
 The cross-module XMOD rules (:mod:`repro.lint.xrules`) are pure functions
-of the model.  Because building the model costs one parse of every file,
-it is cached on disk keyed by a content fingerprint of the analyzed
-sources — the same machinery (SHA-256 over path + bytes) the experiment
-cache uses for its code fingerprint — so warm runs skip straight to rule
-evaluation.
+of the model.  Building it costs one parse of every file (well under a
+second for this tree), so it is rebuilt on every run and never stored.
 
 Everything in the model is deterministically ordered: two builds over the
 same tree serialize to byte-identical JSON (a unit test pins this down).
@@ -32,38 +29,18 @@ same tree serialize to byte-identical JSON (a unit test pins this down).
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.base import SCHEDULING_METHODS, callback_candidates
-from repro.lint.noqa import NoqaMap, noqa_map
-
-#: Bump when the serialized model layout changes; stale caches are rebuilt.
-MODEL_SCHEMA_VERSION = 1
-
-#: Default on-disk location of the cached model (relative to the cwd).
-DEFAULT_CACHE_PATH = ".lint_cache/graph-model.json"
-
-#: Wall-clock reading functions of the ``time`` module (mirrors DET002).
-WALLCLOCK_TIME_FUNCTIONS = frozenset({
-    "time", "time_ns", "perf_counter", "perf_counter_ns",
-    "monotonic", "monotonic_ns", "process_time", "process_time_ns",
-    "clock_gettime", "clock_gettime_ns",
-})
-
-#: ``datetime``/``date`` factory methods that read the wall clock.
-WALLCLOCK_DATETIME_FACTORIES = frozenset({"now", "utcnow", "today"})
-
-#: Paths where wall-clock access is sanctioned (mirrors DET002's exemption
-#: list); taint neither originates in nor propagates through these modules.
-WALLCLOCK_EXEMPT_PATH_PARTS: Tuple[str, ...] = (
-    "benchmarks/",
-    "experiments/parallel",
-    "repro/perf",
+from repro import canonical
+from repro.lint.base import (
+    SCHEDULING_METHODS,
+    WALLCLOCK_DATETIME_FACTORIES,
+    WALLCLOCK_TIME_FUNCTIONS,
+    callback_candidates,
 )
+from repro.lint.noqa import NoqaMap, noqa_map
 
 #: Generator methods that *consume* randomness.  ``get``/``spawn`` are
 #: deliberately absent: deriving a stream is domain-safe, drawing is not.
@@ -972,13 +949,11 @@ class ProjectModel:
         functions: Dict[str, FunctionInfo],
         worker_entries: Tuple[str, ...],
         callback_seeds: Tuple[str, ...],
-        fingerprint: str,
     ) -> None:
         self.modules = modules
         self.functions = functions
         self.worker_entries = worker_entries
         self.callback_seeds = callback_seeds
-        self.fingerprint = fingerprint
         self._worker_reach: Optional[FrozenSet[str]] = None
         self._callback_reach: Optional[FrozenSet[str]] = None
         self._schedulers: Optional[FrozenSet[str]] = None
@@ -1080,8 +1055,6 @@ class ProjectModel:
     def to_payload(self) -> Dict[str, Any]:
         """JSON-ready dict; keys and lists are deterministically ordered."""
         return {
-            "schema": MODEL_SCHEMA_VERSION,
-            "fingerprint": self.fingerprint,
             "worker_entries": sorted(self.worker_entries),
             "callback_seeds": sorted(self.callback_seeds),
             "modules": {
@@ -1105,83 +1078,12 @@ class ProjectModel:
 
     def to_json(self) -> str:
         """Canonical JSON of the model (byte-identical across builds)."""
-        return json.dumps(self.to_payload(), sort_keys=True, indent=None,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ProjectModel":
-        modules = {}
-        for name, raw in payload["modules"].items():
-            modules[name] = ModuleRecord(
-                name=raw["name"],
-                path=raw["path"],
-                functions=list(raw["functions"]),
-                worker_decl=tuple(raw["worker_decl"]),
-                noqa={
-                    int(line): (frozenset(codes) if codes is not None else None)
-                    for line, codes in raw["noqa"].items()
-                },
-            )
-        functions = {}
-        for qual, raw in payload["functions"].items():
-            functions[qual] = FunctionInfo(
-                qualname=raw["qualname"],
-                module=raw["module"],
-                path=raw["path"],
-                line=raw["line"],
-                calls=[CallSite(
-                    line=c["line"], col=c["col"], raw=c["raw"],
-                    targets=tuple(c["targets"]),
-                ) for c in raw["calls"]],
-                schedule_calls=[ScheduleCall(
-                    line=s["line"], col=s["col"], method=s["method"],
-                    receiver_kind=s["receiver_kind"],
-                    receiver_name=s["receiver_name"],
-                    callback_targets=tuple(s["callback_targets"]),
-                ) for s in raw["schedule_calls"]],
-                wallclock=[tuple(w) for w in raw["wallclock"]],
-                global_writes=tuple(raw["global_writes"]),
-                stream_events=[StreamEvent(
-                    line=e["line"], col=e["col"], kind=e["kind"],
-                    key=e["key"], detail=e["detail"],
-                ) for e in raw["stream_events"]],
-                handlers=[HandlerInfo(
-                    line=h["line"], col=h["col"], clause=h["clause"],
-                    reraises=h["reraises"],
-                    guarded_targets=tuple(h["guarded_targets"]),
-                ) for h in raw["handlers"]],
-            )
-        return cls(
-            modules=modules,
-            functions=functions,
-            worker_entries=tuple(payload["worker_entries"]),
-            callback_seeds=tuple(payload["callback_seeds"]),
-            fingerprint=payload["fingerprint"],
-        )
+        return canonical.dumps(self.to_payload())
 
 
 # ---------------------------------------------------------------------------
 # model construction
 # ---------------------------------------------------------------------------
-
-def files_fingerprint(files: Sequence[Path]) -> str:
-    """SHA-256 over (display path, contents) of the analyzed sources.
-
-    Same construction as :func:`repro.experiments.cache.code_fingerprint`
-    (path, NUL, bytes, NUL per file, in sorted path order) so the two
-    fingerprint families behave identically under renames and edits.
-    """
-    digest = hashlib.sha256()
-    for path in sorted(files, key=lambda p: p.as_posix()):
-        digest.update(path.as_posix().encode())
-        digest.update(b"\0")
-        try:
-            digest.update(path.read_bytes())
-        except OSError:
-            digest.update(b"<unreadable>")
-        digest.update(b"\0")
-    return digest.hexdigest()
-
 
 def build_model(files: Sequence[Path]) -> ProjectModel:
     """Parse ``files`` and assemble the whole-program model."""
@@ -1248,7 +1150,6 @@ def build_model(files: Sequence[Path]) -> ProjectModel:
         functions=functions,
         worker_entries=tuple(sorted(worker_entries)),
         callback_seeds=tuple(sorted(callback_seeds)),
-        fingerprint=files_fingerprint(list(files)),
     )
 
 
@@ -1293,41 +1194,3 @@ def _first_ref_arg(
         elif "." not in name and f"{mod.name}.{name}" in functions:
             refs.add(f"{mod.name}.{name}")
     return refs
-
-
-# ---------------------------------------------------------------------------
-# cached entry point
-# ---------------------------------------------------------------------------
-
-def load_or_build_model(
-    files: Sequence[Path],
-    cache_path: Optional[Path] = None,
-) -> Tuple[ProjectModel, bool]:
-    """Return ``(model, from_cache)``, reusing a fingerprint-matched cache.
-
-    The cache key is :func:`files_fingerprint` over exactly the analyzed
-    sources — the same content-hash machinery the experiment cache builds
-    its code fingerprint from — so *any* edit to an analyzed file rebuilds
-    the model while doc/asset churn keeps warm runs warm.
-    """
-    fingerprint = files_fingerprint(list(files))
-    if cache_path is not None and cache_path.is_file():
-        try:
-            payload = json.loads(cache_path.read_text(encoding="utf-8"))
-            if (
-                payload.get("schema") == MODEL_SCHEMA_VERSION
-                and payload.get("fingerprint") == fingerprint
-            ):
-                return ProjectModel.from_payload(payload), True
-        except (OSError, ValueError, KeyError, TypeError):
-            pass  # corrupt cache: rebuild below and overwrite
-    model = build_model(files)
-    if cache_path is not None:
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = cache_path.with_name(cache_path.name + ".tmp")
-            tmp.write_text(model.to_json(), encoding="utf-8")
-            tmp.replace(cache_path)
-        except OSError:
-            pass  # a read-only tree degrades to cold builds
-    return model, False

@@ -23,6 +23,9 @@ from typing import List, Optional, Set
 from repro.lint.base import (
     LANE_FACTORY,
     SCHEDULING_METHODS,
+    WALLCLOCK_DATETIME_FACTORIES,
+    WALLCLOCK_EXEMPT_PATH_PARTS,
+    WALLCLOCK_TIME_FUNCTIONS,
     Checker,
     ModuleContext,
     callback_candidates,
@@ -36,14 +39,6 @@ _ALLOWED_NP_RANDOM = frozenset({
     "Generator", "BitGenerator", "RandomState", "SeedSequence",
     "default_rng", "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
 })
-
-_TIME_FUNCTIONS = frozenset({
-    "time", "time_ns", "perf_counter", "perf_counter_ns",
-    "monotonic", "monotonic_ns", "process_time", "process_time_ns",
-    "clock_gettime", "clock_gettime_ns",
-})
-
-_DATETIME_FACTORIES = frozenset({"now", "utcnow", "today"})
 
 
 class _AliasTrackingChecker(Checker):
@@ -144,14 +139,10 @@ class WallClockChecker(_AliasTrackingChecker):
     message = "wall-clock access in simulation code"
     hint = (
         "use sim.now for simulation time; wall-clock timing belongs in "
-        "benchmarks/, repro.perf, or the parallel sweep runner"
+        "benchmarks/ or the parallel sweep runner"
     )
     tracked_modules = frozenset({"time", "datetime"})
-    exempt_path_parts = (
-        "benchmarks/",
-        "experiments/parallel",
-        "repro/perf",
-    )
+    exempt_path_parts = WALLCLOCK_EXEMPT_PATH_PARTS
 
     def __init__(self, context: ModuleContext) -> None:
         super().__init__(context)
@@ -167,7 +158,7 @@ class WallClockChecker(_AliasTrackingChecker):
         module = node.module or ""
         if module == "time":
             for alias in node.names:
-                if alias.name in _TIME_FUNCTIONS:
+                if alias.name in WALLCLOCK_TIME_FUNCTIONS:
                     self.report(node, f"from time import {alias.name}")
         elif module == "datetime":
             for alias in node.names:
@@ -180,19 +171,23 @@ class WallClockChecker(_AliasTrackingChecker):
         if name is not None:
             parts = name.split(".")
             head = self.module_aliases.get(parts[0])
-            if head == "time" and len(parts) == 2 and parts[1] in _TIME_FUNCTIONS:
+            if (
+                head == "time"
+                and len(parts) == 2
+                and parts[1] in WALLCLOCK_TIME_FUNCTIONS
+            ):
                 self.report(node, f"{name}()")
             elif (
                 head == "datetime"
                 and len(parts) == 3
                 and parts[1] in ("datetime", "date")
-                and parts[2] in _DATETIME_FACTORIES
+                and parts[2] in WALLCLOCK_DATETIME_FACTORIES
             ):
                 self.report(node, f"{name}()")
             elif (
                 parts[0] in self._datetime_classes
                 and len(parts) == 2
-                and parts[1] in _DATETIME_FACTORIES
+                and parts[1] in WALLCLOCK_DATETIME_FACTORIES
             ):
                 self.report(node, f"{name}()")
         self.generic_visit(node)

@@ -25,6 +25,7 @@ from repro.lint.base import (
     all_graph_checkers,
 )
 from repro.lint.baseline import BaselineEntry, apply_baseline
+from repro.lint.graph import build_model
 from repro.lint.noqa import is_suppressed, noqa_map
 
 #: Pseudo-rule code for files that fail to parse.
@@ -206,7 +207,6 @@ class GraphLintReport:
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
-    from_cache: bool = False
     stale_baseline: List[BaselineEntry] = field(default_factory=list)
 
     @property
@@ -226,22 +226,19 @@ def graph_lint_paths(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     baseline: Optional[Sequence[BaselineEntry]] = None,
-    cache_path: Optional[Path] = None,
 ) -> GraphLintReport:
     """Run the cross-module XMOD rules over the whole program at once.
 
     Every file under ``paths`` enters one shared project model (built by
-    :mod:`repro.lint.graph`, cached at ``cache_path`` keyed on a content
-    fingerprint); the selected graph rules then run on the model.  Raw
-    findings are filtered through per-module ``# noqa`` comments and then
-    through the committed baseline, exactly in that order — a ``# noqa``
-    is a permanent, in-code waiver, the baseline is temporary debt.
+    :mod:`repro.lint.graph`); the selected graph rules then run on the
+    model.  Raw findings are filtered through per-module ``# noqa``
+    comments and then through the committed baseline, exactly in that
+    order — a ``# noqa`` is a permanent, in-code waiver, the baseline is
+    temporary debt.
     """
-    from repro.lint.graph import load_or_build_model
-
     checkers = select_graph_checkers(select, ignore)
     files = list(iter_python_files(paths))
-    model, from_cache = load_or_build_model(files, cache_path=cache_path)
+    model = build_model(files)
 
     noqa_by_path = {
         record.path: record.noqa for record in model.modules.values()
@@ -260,6 +257,5 @@ def graph_lint_paths(
     return GraphLintReport(
         findings=surviving,
         files_checked=len(files),
-        from_cache=from_cache,
         stale_baseline=list(stale),
     )

@@ -15,8 +15,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.lint.base import GraphChecker, GraphFinding, register_graph
-from repro.lint.graph import WALLCLOCK_EXEMPT_PATH_PARTS, ProjectModel
+from repro.lint.base import (
+    WALLCLOCK_EXEMPT_PATH_PARTS,
+    GraphChecker,
+    GraphFinding,
+    register_graph,
+)
+from repro.lint.graph import ProjectModel
 
 
 @register_graph
@@ -151,10 +156,9 @@ class TransitiveWallClockChecker(GraphChecker):
     ``time.time()`` taints every caller transitively, and each call edge
     from sim-callback-reachable code into a tainted function is reported
     at the call site.  Taint neither originates in nor flows through the
-    sanctioned wall-clock modules (the DET002 exemption list: benchmarks,
-    the cache/parallel timing paths, ``repro.perf``), so timing a sweep
-    from the harness stays legal while timing *inside* the event loop
-    does not.
+    sanctioned wall-clock modules (the DET002 exemption list: benchmarks
+    and the parallel sweep runner), so timing a sweep from the harness
+    stays legal while timing *inside* the event loop does not.
     """
 
     code = "XMOD003"

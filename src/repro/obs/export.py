@@ -10,17 +10,18 @@ timestamps**, so two sweeps of the same task list produce byte-identical
 directories (the CI obs-smoke job compares a serial and a ``--jobs 4``
 sweep with ``cmp``).
 
-Writes are atomic (temp file + rename) so a crashed sweep never leaves a
-truncated artifact; a re-run simply overwrites.
+Writes are atomic (:func:`repro.canonical.atomic_write_text`) so a
+crashed sweep never leaves a truncated artifact; a re-run simply
+overwrites.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
+
+from repro import canonical
 
 #: Manifest payload version.
 MANIFEST_SCHEMA_VERSION = 1
@@ -38,12 +39,6 @@ def sanitize_name(text: str) -> str:
             out.append("-")
             previous_dash = True
     return "".join(out).strip("-") or "run"
-
-
-def _atomic_write(path: Path, data: str) -> None:
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    tmp.write_text(data)
-    os.replace(tmp, path)
 
 
 class ObsDirWriter:
@@ -80,19 +75,17 @@ class ObsDirWriter:
         if trace is not None:
             filename = f"{name}.trace.jsonl"
             data = "\n".join(trace) + ("\n" if trace else "")
-            _atomic_write(self.directory / filename, data)
+            canonical.atomic_write_text(self.directory / filename, data)
             files["trace"] = self._entry(filename, data, records=len(trace))
         if metrics is not None:
             filename = f"{name}.metrics.json"
-            data = json.dumps(metrics, sort_keys=True,
-                              separators=(",", ":")) + "\n"
-            _atomic_write(self.directory / filename, data)
+            data = canonical.dumps(metrics) + "\n"
+            canonical.atomic_write_text(self.directory / filename, data)
             files["metrics"] = self._entry(filename, data)
         if timeseries is not None:
             filename = f"{name}.timeseries.json"
-            data = json.dumps(timeseries, sort_keys=True,
-                              separators=(",", ":")) + "\n"
-            _atomic_write(self.directory / filename, data)
+            data = canonical.dumps(timeseries) + "\n"
+            canonical.atomic_write_text(self.directory / filename, data)
             files["timeseries"] = self._entry(
                 filename, data, records=len(timeseries.get("t", ()))
             )
@@ -129,6 +122,5 @@ class ObsDirWriter:
             "runs": self._runs,
         }
         path = self.directory / "manifest.json"
-        _atomic_write(path, json.dumps(payload, sort_keys=True,
-                                       separators=(",", ":")) + "\n")
+        canonical.atomic_write_text(path, canonical.dumps(payload) + "\n")
         return path

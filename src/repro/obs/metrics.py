@@ -13,8 +13,9 @@ diff`` reports zero deltas.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Tuple
+
+from repro import canonical
 
 #: Canonical label representation: sorted ``(key, value)`` pairs.
 LabelSet = Tuple[Tuple[str, str], ...]
@@ -165,5 +166,4 @@ class MetricsRegistry:
 
     def to_json(self) -> str:
         """The snapshot as canonical JSON (sorted keys, compact)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical.dumps(self.to_dict())

@@ -25,10 +25,10 @@ Exposed on the command line as ``python -m repro.obs spans``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro import canonical
 from repro.net.packet import PROBE
 
 #: ``port``-category events that mean a packet died at that port.
@@ -206,7 +206,4 @@ def format_spans(spans: Iterable[FlowSpan]) -> str:
 
 def spans_to_jsonl(spans: Iterable[FlowSpan]) -> List[str]:
     """Canonical JSONL lines (sorted keys, compact separators)."""
-    return [
-        json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
-        for span in spans
-    ]
+    return [canonical.dumps(span.to_dict()) for span in spans]

@@ -200,11 +200,10 @@ class TimeSeriesSampler:
         """The recorded series as one canonical, JSON-ready dict.
 
         ``t`` is the sample-time array; every entry of ``series`` is a
-        parallel array.  Serialize with ``sort_keys=True`` and compact
-        separators (as :mod:`repro.obs.export` does) for byte-stable
-        files; the dict itself is deterministic already — column names
-        are fixed at construction and values are pure functions of sim
-        state.
+        parallel array.  Serialize with :func:`repro.canonical.dumps`
+        for byte-stable files; the dict itself is deterministic already —
+        column names are fixed at construction and values are pure
+        functions of sim state.
         """
         series: Dict[str, List[float]] = {}
         for j, name in enumerate(self._names):

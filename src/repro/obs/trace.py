@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
+from repro import canonical
 from repro.obs.config import ObsConfig
 
 #: Version stamped into every record as ``"v"``.  Bump when the record
@@ -107,11 +108,11 @@ class TraceRecorder:
         "v": 2, ...}`` with sorted keys and compact separators; ``i`` is
         this recorder's kept-record index, so a diff can name the first
         divergent record and a merge (keyed ``(t, recorder, i)``) has a
-        total order.  Floats round-trip exactly through
-        :func:`json.dumps` (shortest-repr), so equal runs give equal
-        bytes.
+        total order.  Floats round-trip exactly through JSON
+        (shortest-repr), so equal runs give equal bytes.
         """
         out: List[str] = []
+        dumps = canonical.dumps
         recorder_id = self.recorder_id
         for i, (category, t, fields) in enumerate(self._records):
             record: Dict[str, Any] = {
@@ -122,8 +123,7 @@ class TraceRecorder:
                 if key in RESERVED_KEYS:
                     key = "x_" + key  # never silently clobber the envelope
                 record[key] = value
-            out.append(json.dumps(record, sort_keys=True,
-                                  separators=(",", ":")))
+            out.append(dumps(record))
         return out
 
 

@@ -3,7 +3,7 @@
 The fingerprint must cover exactly the sources a scenario run can
 execute — the transitive ``repro.*`` import closure of the runner and the
 scenario catalog — so that editing simulator code invalidates every disk
-entry while editing tooling (a lint rule, the perf harness) keeps a warm
+entry while editing tooling (a lint rule, the lint CLI) keeps a warm
 cache warm.  The closure tests work on a throwaway copy of the source
 tree so they can mutate files freely.
 """
@@ -34,7 +34,6 @@ def test_closure_covers_the_simulation_stack():
 def test_closure_excludes_tooling_packages():
     files = cache.fingerprint_files()
     assert not [f for f in files if f.startswith("repro/lint/")]
-    assert not [f for f in files if f.startswith("repro/perf/")]
 
 
 def test_closure_is_sorted_and_relative():
@@ -59,8 +58,8 @@ def test_touching_lint_does_not_invalidate_cache(tmp_path, monkeypatch):
 
     rules = tree / "lint" / "rules.py"
     rules.write_text(rules.read_text() + "\n# an edited lint rule\n")
-    perf = tree / "perf" / "benches.py"
-    perf.write_text(perf.read_text() + "\n# an edited benchmark\n")
+    cli = tree / "lint" / "cli.py"
+    cli.write_text(cli.read_text() + "\n# an edited command line\n")
 
     assert _fingerprint_of_tree(monkeypatch, tree) == before
 

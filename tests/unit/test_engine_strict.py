@@ -167,7 +167,8 @@ def test_default_mode_compacts_too():
     Long admission-control sweeps cancel enough timers for garbage to
     dominate the calendar, and with no record recycling the rebuild is the
     only thing that bounds it, so ``step`` and ``run`` — one loop — shed
-    it in production mode too (timed by ``repro.perf``'s cancel churn).
+    it in production mode too (``python -m bench`` times that churn as
+    ``sim.ns_per_cancel``).
     """
     sim = Simulator(strict=False)
     handles = [sim.schedule(10.0 + i, lambda: None) for i in range(2 * _COMPACT_MIN)]

@@ -2,10 +2,10 @@
 
 Covers the fixture mini-packages under ``tests/fixtures/xmod/`` (one
 positive + negative pair per rule, plus noqa and baseline suppression),
-model determinism (byte-identical JSON across builds), the fingerprint
-cache, the fixture-tree walk exclusion, the CLI surface, and the two
-policy invariants the repository itself must hold: zero unbaselined XMOD
-findings and zero ``# noqa`` waivers under ``src/``.
+model determinism (byte-identical JSON across builds), the fixture-tree
+walk exclusion, the CLI surface, and the two policy invariants the
+repository itself must hold: zero unbaselined XMOD findings and zero
+``# noqa`` waivers under ``src/``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.lint.baseline import (
     render_baseline,
 )
 from repro.lint.cli import render_sarif
-from repro.lint.graph import build_model, load_or_build_model
+from repro.lint.graph import build_model
 from repro.lint.noqa import comment_waivers
 from repro.lint.runner import iter_python_files
 
@@ -138,7 +138,7 @@ def test_baseline_roundtrip(tmp_path):
     assert surviving == [] and stale == []
 
 
-# -- determinism and caching ------------------------------------------------
+# -- determinism ------------------------------------------------------------
 
 
 def test_model_builds_are_byte_identical():
@@ -147,39 +147,6 @@ def test_model_builds_are_byte_identical():
     second = build_model(files).to_json()
     assert first == second
     assert first.encode("utf-8") == second.encode("utf-8")
-
-
-def test_model_cache_roundtrip(tmp_path):
-    files = fixture_files("xmod002_pos")
-    cache = tmp_path / "model.json"
-    model, from_cache = load_or_build_model(files, cache_path=cache)
-    assert not from_cache and cache.is_file()
-    cached, from_cache = load_or_build_model(files, cache_path=cache)
-    assert from_cache
-    assert cached.to_json() == model.to_json()
-
-
-def test_model_cache_invalidates_on_edit(tmp_path):
-    src = tmp_path / "src" / "pkg"
-    src.mkdir(parents=True)
-    (src / "mod.py").write_text("def f():\n    return 1\n")
-    cache = tmp_path / "model.json"
-    files = [src / "mod.py"]
-    _, from_cache = load_or_build_model(files, cache_path=cache)
-    assert not from_cache
-    (src / "mod.py").write_text("def f():\n    return 2\n")
-    _, from_cache = load_or_build_model(files, cache_path=cache)
-    assert not from_cache  # content changed -> fingerprint changed
-
-
-def test_cached_and_fresh_reports_agree(tmp_path):
-    cache = tmp_path / "model.json"
-    fresh = lint_fixture("xmod003_pos", cache_path=cache)
-    warm = lint_fixture("xmod003_pos", cache_path=cache)
-    assert not fresh.from_cache and warm.from_cache
-    assert [f.render() for f in fresh.findings] == [
-        f.render() for f in warm.findings
-    ]
 
 
 # -- fixture-tree exclusion from normal walks --------------------------------
@@ -252,14 +219,21 @@ def test_all_four_rules_registered():
 
 
 def test_cli_graph_on_fixture_exits_one(capsys):
-    rc = main(["--graph", "--no-graph-cache", str(FIXTURES / "xmod004_pos")])
+    rc = main(["--graph", str(FIXTURES / "xmod004_pos")])
     assert rc == 1
     assert "XMOD004" in capsys.readouterr().out
 
 
+def test_cli_graph_run_leaves_nothing_behind(tmp_path, monkeypatch, capsys):
+    """The model is rebuilt on every run; nothing is stored beside the tree."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["--graph", str(FIXTURES / "xmod001_neg")]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_graph_json_schema(capsys):
     rc = main([
-        "--graph", "--no-graph-cache", "--format", "json",
+        "--graph", "--format", "json",
         str(FIXTURES / "xmod002_pos"),
     ])
     assert rc == 1
@@ -271,7 +245,7 @@ def test_cli_graph_json_schema(capsys):
 
 def test_cli_graph_sarif_output(capsys):
     rc = main([
-        "--graph", "--no-graph-cache", "--format", "sarif",
+        "--graph", "--format", "sarif",
         str(FIXTURES / "xmod003_pos"),
     ])
     assert rc == 1
@@ -292,20 +266,20 @@ def test_render_sarif_clean_is_valid_empty_log():
 def test_cli_write_baseline_roundtrip(tmp_path, capsys):
     baseline = tmp_path / "lint_baseline.json"
     rc = main([
-        "--graph", "--no-graph-cache", "--write-baseline",
+        "--graph", "--write-baseline",
         "--baseline", str(baseline), str(FIXTURES / "xmod001_pos"),
     ])
     assert rc == 0
     assert "baseline written" in capsys.readouterr().out
     rc = main([
-        "--graph", "--no-graph-cache",
-        "--baseline", str(baseline), str(FIXTURES / "xmod001_pos"),
+        "--graph", "--baseline", str(baseline),
+        str(FIXTURES / "xmod001_pos"),
     ])
     assert rc == 0  # everything grandfathered
 
     rc = main([
-        "--graph", "--no-graph-cache",
-        "--baseline", str(baseline), str(FIXTURES / "xmod001_neg"),
+        "--graph", "--baseline", str(baseline),
+        str(FIXTURES / "xmod001_neg"),
     ])
     assert rc == 0  # clean tree; stale entries warn but do not fail
 
@@ -331,7 +305,7 @@ def test_cli_list_rules_includes_graph_codes(capsys):
 
 def test_module_invocation_graph_on_src_exits_zero():
     result = subprocess.run(
-        [sys.executable, "-m", "repro.lint", "--graph", "--no-graph-cache", "src"],
+        [sys.executable, "-m", "repro.lint", "--graph", "src"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,

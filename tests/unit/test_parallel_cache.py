@@ -96,6 +96,25 @@ class TestDiskCache:
         cache.cached_run(fast_config(), DESIGN)
         assert cache.disk_cache_size() == 0
 
+    def test_disabled_tier_never_fingerprints(self, monkeypatch, tmp_path):
+        """The key (and the AST-walking code fingerprint under it) is disk
+        business: with the tier off nothing may compute it; with a
+        directory set the entry is still named by ``run_key``."""
+        def fingerprint():
+            raise AssertionError("fingerprinted with the disk tier off")
+
+        config = fast_config()
+        with monkeypatch.context() as patched:
+            patched.setattr(cache, "code_fingerprint", fingerprint)
+            assert cache.lookup(config, DESIGN) == (None, "miss")
+            result = cache.cached_run(config, DESIGN)
+            cache.store(config, DESIGN, result)
+        cache.set_cache_dir(tmp_path)
+        cache.store(config, DESIGN, result)
+        (entry,) = tmp_path.iterdir()
+        assert entry.name == f"{cache.run_key(config, DESIGN)}.json"
+        assert json.loads(entry.read_text())["key"] == entry.stem
+
     def test_miss_compute_then_disk_hit(self, tmp_path):
         cache.set_cache_dir(tmp_path)
         config = fast_config()
@@ -286,6 +305,29 @@ class TestDiskPartialWrites:
         entry.write_text(json.dumps(payload))  # valid JSON, wrong shape
         assert cache.lookup(config, DESIGN) == (None, "miss")
         assert cache.cached_run(config, DESIGN) == computed
+
+    def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """A full or read-only directory degrades to compute-always without
+        leaving ``<key>.json.tmp<pid>`` files nothing would ever remove."""
+        real_replace = os.replace
+        failures = []
+
+        def failing_replace(src, dst):
+            if not failures:
+                failures.append(src)
+                raise OSError("no space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        cache.set_cache_dir(tmp_path)
+        config = fast_config()
+        computed = cache.cached_run(config, DESIGN)
+        assert len(failures) == 1
+        assert list(tmp_path.iterdir()) == []
+        # Only the disk write was lost; the next store goes through.
+        assert cache.lookup(config, DESIGN) == (computed, "memo")
+        cache.store(config, DESIGN, computed)
+        assert cache.disk_cache_size() == 1
 
     def test_orphaned_tmp_file_is_inert(self, tmp_path):
         config, computed, entry = self._seed_entry(tmp_path)
