@@ -93,13 +93,6 @@ from repro.experiments.runner import (
 #: One unit of work: a fully-seeded scenario under one controller.
 RunTask = Tuple[ScenarioConfig, ControllerSpec]
 
-#: Functions that execute inside pool worker processes.  ``pool.submit``
-#: sites are discovered syntactically by the cross-module linter; this
-#: declaration is the explicit contract for entries that reach workers
-#: some other way (fork-inherited hooks), and it keeps the XMOD001
-#: reachability analysis anchored even if the submit sites move.
-__worker_entry_points__ = ("_compute",)
-
 
 @dataclass(frozen=True)
 class RunEvent:
@@ -248,7 +241,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def _compute(task: RunTask) -> Tuple[ScenarioResult, float, Tuple[ProfileRow, ...]]:
     """Worker entry point: run one task, timing it (picklable top-level).
 
-    The clock injection happens here: this module is on the DET002/XMOD003
+    The clock injection happens here: this module is on the DET002
     exemption list, so it may hand ``time.perf_counter`` to the profile;
     the engine itself never imports :mod:`time`.
     """

@@ -4,44 +4,32 @@ The paper's figures only reproduce if simulation runs are bit-for-bit
 deterministic for a given seed.  This package enforces the invariants that
 make that true — no ambient RNG, no wall clock, no unordered iteration in
 scheduling paths, no NaN event times — as an AST-based lint that runs in CI
-(``python -m repro.lint src tests``) and as a library
-(:func:`repro.lint.runner.lint_source` for tests and tooling).
+(``python -m repro.lint src tests bench benchmarks examples``) and as a
+library (:func:`repro.lint.runner.lint_source` for tests and tooling).
 
-Per-module rule codes: DET001 (ambient random state), DET002 (wall clock),
-DET003 (unordered iteration in scheduling modules), SIM001 (suspicious
-scheduling arguments), FLT001 (float equality against simulation time),
-ERR001 (swallowed callback errors).
-
-Cross-module rule codes (``python -m repro.lint --graph src tests`` builds
-a whole-program project model first; see :mod:`repro.lint.graph`):
-XMOD001 (engine state touched from worker context), XMOD002 (one RNG
-stream drawn from multiple scheduling domains), XMOD003 (wall clock
-reachable from sim callbacks), XMOD004 (broad handler swallowing a
-cross-module scheduling edge).
+Rule codes, all per-module (one AST at a time): DET001 (ambient random
+state), DET002 (wall clock), DET003 (unordered iteration in scheduling
+modules), SIM001 (suspicious scheduling arguments), FLT001 (float equality
+against simulation time), ERR001 (swallowed callback errors), ERR002
+(silently swallowed broad exceptions in library code).
 
 Each code is individually suppressible with a ``# noqa: CODE`` comment;
-XMOD codes additionally honor the committed ``lint_baseline.json``.
-DESIGN.md §9 and §12 document when suppression is legitimate.
+DESIGN.md §8 documents when suppression is legitimate, and §12 why there
+is no whole-program pass.
 """
 
 from repro.lint.base import (
     Checker,
     Finding,
-    GraphChecker,
-    GraphFinding,
     ModuleContext,
     all_checkers,
-    all_graph_checkers,
     dotted_name,
     register,
-    register_graph,
 )
 from repro.lint.cli import JSON_SCHEMA_VERSION, main
 from repro.lint.runner import (
     PARSE_ERROR_CODE,
-    GraphLintReport,
     LintReport,
-    graph_lint_paths,
     lint_paths,
     lint_source,
 )
@@ -49,20 +37,14 @@ from repro.lint.runner import (
 __all__ = [
     "Checker",
     "Finding",
-    "GraphChecker",
-    "GraphFinding",
-    "GraphLintReport",
     "JSON_SCHEMA_VERSION",
     "LintReport",
     "ModuleContext",
     "PARSE_ERROR_CODE",
     "all_checkers",
-    "all_graph_checkers",
     "dotted_name",
-    "graph_lint_paths",
     "lint_paths",
     "lint_source",
     "main",
     "register",
-    "register_graph",
 ]

@@ -27,7 +27,7 @@ SCHEDULING_METHODS = frozenset({"schedule", "schedule_at", "call", "call_chained
 #: ``lane.call(fn, *args)`` — callback first, no delay argument.
 LANE_FACTORY = "lane"
 
-#: Wall-clock reading functions of the ``time`` module (DET002, XMOD003).
+#: Wall-clock reading functions of the ``time`` module (DET002).
 WALLCLOCK_TIME_FUNCTIONS = frozenset({
     "time", "time_ns", "perf_counter", "perf_counter_ns",
     "monotonic", "monotonic_ns", "process_time", "process_time_ns",
@@ -37,10 +37,11 @@ WALLCLOCK_TIME_FUNCTIONS = frozenset({
 #: ``datetime``/``date`` factory methods that read the wall clock.
 WALLCLOCK_DATETIME_FACTORIES = frozenset({"now", "utcnow", "today"})
 
-#: Path substrings where wall-clock access is sanctioned: DET002 does not
-#: run there, and XMOD003 taint neither originates in nor propagates
-#: through these modules.
+#: Path substrings where wall-clock access is sanctioned (the timing
+#: harnesses and the sweep runner that times its tasks): DET002 does not
+#: run there.
 WALLCLOCK_EXEMPT_PATH_PARTS: Tuple[str, ...] = (
+    "bench/",
     "benchmarks/",
     "experiments/parallel",
 )
@@ -52,8 +53,8 @@ def callback_candidates(call: ast.Call) -> List[ast.expr]:
     The simulator's methods take ``(delay, fn, *args)`` and ``Lane.call``
     takes ``(fn, *args)``.  Both are spelled ``.call(`` and the receiver's
     type is not known syntactically, so for ``call`` either of the first
-    two arguments may be the callback; consumers keep whichever is a
-    lambda or resolves to a function (a delay expression does neither).
+    two arguments may be the callback; SIM001 keeps whichever is a
+    lambda (a delay expression is not).
     """
     func = call.func
     if isinstance(func, ast.Attribute) and func.attr == "call":
@@ -218,83 +219,3 @@ def register(cls: Type[Checker]) -> Type[Checker]:
 def all_checkers() -> Dict[str, Type[Checker]]:
     """Registered rules, keyed by code (a copy; mutation-safe)."""
     return dict(_REGISTRY)
-
-
-@dataclass(frozen=True)
-class GraphFinding(Finding):
-    """A cross-module finding, tagged with the symbol it belongs to.
-
-    ``symbol`` (a function qualname like ``repro.faults.schedule.
-    FaultSchedule.install``) is what the committed baseline matches on —
-    together with ``path`` and ``code`` it survives line drift, unlike a
-    raw line number.  The JSON/text renderings inherit :class:`Finding`'s
-    so the output schema is unchanged.
-    """
-
-    symbol: str = ""
-
-
-class GraphChecker:
-    """Base class for one whole-program (cross-module) rule.
-
-    Unlike :class:`Checker`, a graph rule never sees a single AST: it is
-    handed the fully-resolved :class:`repro.lint.graph.ProjectModel` and
-    returns findings anchored at real source locations.  Path scoping
-    (``only_path_parts`` / ``exempt_path_parts``) has the same semantics
-    as for per-module rules and is applied to the path of each *finding*,
-    not to which modules enter the model — the model is always whole-
-    program so reachability stays sound.
-    """
-
-    code: ClassVar[str] = ""
-    message: ClassVar[str] = ""
-    hint: ClassVar[str] = ""
-    exempt_path_parts: ClassVar[Tuple[str, ...]] = ()
-    only_path_parts: ClassVar[Tuple[str, ...]] = ()
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        """Whether findings at the given (display) path are in scope."""
-        normalized = path.replace("\\", "/")
-        if cls.only_path_parts and not any(
-            part in normalized for part in cls.only_path_parts
-        ):
-            return False
-        return not any(part in normalized for part in cls.exempt_path_parts)
-
-    def check(self, model: Any) -> List[Finding]:
-        """Return this rule's findings over the project model."""
-        raise NotImplementedError
-
-    def finding(
-        self,
-        path: str,
-        line: int,
-        col: int,
-        detail: Optional[str] = None,
-        symbol: str = "",
-    ) -> GraphFinding:
-        """Build one finding at an explicit location."""
-        message = self.message if detail is None else f"{self.message} ({detail})"
-        return GraphFinding(
-            path=path, line=line, col=col,
-            code=self.code, message=message, hint=self.hint, symbol=symbol,
-        )
-
-
-_GRAPH_REGISTRY: Dict[str, Type[GraphChecker]] = {}
-
-
-def register_graph(cls: Type[GraphChecker]) -> Type[GraphChecker]:
-    """Class decorator adding a cross-module rule to the graph registry."""
-    if not cls.code:
-        raise ValueError(f"{cls.__name__} has no rule code")
-    if cls.code in _GRAPH_REGISTRY or cls.code in _REGISTRY:
-        raise ValueError(f"duplicate rule code {cls.code!r}")
-    _GRAPH_REGISTRY[cls.code] = cls
-    return cls
-
-
-def all_graph_checkers() -> Dict[str, Type[GraphChecker]]:
-    """Registered cross-module rules, keyed by code (a copy)."""
-    return dict(_GRAPH_REGISTRY)

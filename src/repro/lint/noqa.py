@@ -7,11 +7,11 @@ Two forms are honored, matching the flake8 convention:
   listed codes.
 
 Suppressions are per-line: a finding is dropped when its line carries a
-blanket ``noqa`` or one naming the finding's code.  The scan is textual
-(tokenize-free) which keeps it fast; the one consequence is that a
-``# noqa`` inside a string literal on the same line also counts — in
-practice a non-issue for this codebase, and erring toward suppression
-never *hides* the control: waivers remain grep-able.
+blanket ``noqa`` or one naming the finding's code.  Only real comments
+count — the scan walks the token stream, so ``noqa`` spelled inside a
+string literal or docstring (the rules' own hint strings mention
+``# noqa: DET001`` as advice) waives nothing.  Files that never mention
+``noqa`` are not tokenized at all.
 """
 
 from __future__ import annotations
@@ -33,24 +33,37 @@ _NOQA_RE = re.compile(
 #: line -> None for a blanket suppression, or the set of suppressed codes.
 NoqaMap = Dict[int, Optional[FrozenSet[str]]]
 
+#: One suppression comment: (line, comment text, listed codes or None).
+_NoqaComment = Tuple[int, str, Optional[FrozenSet[str]]]
+
+
+def _noqa_comments(source: str) -> List[_NoqaComment]:
+    """Every ``# noqa`` comment token of a module, in line order."""
+    if "noqa" not in source.lower():
+        return []
+    found: List[_NoqaComment] = []
+    try:
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            match = _NOQA_RE.search(token.string)
+            if match is None:
+                continue
+            listed = match.group("codes")
+            codes = None if listed is None else frozenset(
+                code.upper() for code in re.split(r"[,\s]+", listed) if code
+            )
+            found.append((token.start[0], token.string.strip(), codes))
+    except (tokenize.TokenError, IndentationError):
+        # An untokenizable file does not parse either: the runner reports
+        # PARSE for it and runs no rule, so there is nothing to waive.
+        pass
+    return found
+
 
 def noqa_map(source: str) -> NoqaMap:
     """Scan module source for suppression comments, keyed by line number."""
-    mapping: NoqaMap = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        if "noqa" not in line and "NOQA" not in line.upper():
-            continue
-        match = _NOQA_RE.search(line)
-        if match is None:
-            continue
-        codes = match.group("codes")
-        if codes is None:
-            mapping[lineno] = None
-        else:
-            mapping[lineno] = frozenset(
-                code.strip().upper() for code in re.split(r"[,\s]+", codes) if code.strip()
-            )
-    return mapping
+    return {line: codes for line, _, codes in _noqa_comments(source)}
 
 
 def is_suppressed(mapping: NoqaMap, line: int, code: str) -> bool:
@@ -65,39 +78,17 @@ def comment_waivers(
     source: str,
     codes: Optional[FrozenSet[str]] = None,
 ) -> List[Tuple[int, str]]:
-    """Every *real* ``# noqa`` comment in a module, as ``(line, text)``.
+    """Every ``# noqa`` comment in a module, as ``(line, text)``.
 
-    Unlike :func:`noqa_map`'s fast textual scan, this walks the token
-    stream, so ``noqa`` spelled inside a string literal or docstring (the
-    lint rules' own hint strings mention ``# noqa: DET001`` as advice!)
-    does not count.  With ``codes`` given, only waivers that could
-    suppress one of those codes are reported: blanket waivers always
-    count, code-listing waivers only when they name one of ``codes`` —
-    a ``# noqa: F401`` aimed at flake8 is not a waiver of *this*
-    linter's rules.  This is the waiver-*audit* primitive behind the
-    policy test asserting zero waivers under ``src/``.
+    With ``codes`` given, only waivers that could suppress one of those
+    codes are reported: blanket waivers always count, code-listing waivers
+    only when they name one of ``codes`` — a ``# noqa: F401`` aimed at
+    flake8 is not a waiver of *this* linter's rules.  This is the
+    waiver-*audit* primitive behind the policy test asserting zero waivers
+    under ``src/``.
     """
-    waivers: List[Tuple[int, str]] = []
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _NOQA_RE.search(token.string)
-            if match is None:
-                continue
-            listed = match.group("codes")
-            if codes is not None and listed is not None:
-                named = {
-                    code.strip().upper()
-                    for code in re.split(r"[,\s]+", listed)
-                    if code.strip()
-                }
-                if not named & codes:
-                    continue
-            waivers.append((token.start[0], token.string.strip()))
-    except (tokenize.TokenError, IndentationError):
-        # An untokenizable file cannot hide a waiver from the per-module
-        # runner either (it fails to parse there too); report nothing.
-        pass
-    return waivers
+    return [
+        (line, text)
+        for line, text, named in _noqa_comments(source)
+        if codes is None or named is None or named & codes
+    ]

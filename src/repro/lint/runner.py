@@ -15,17 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Type
 
 from repro.lint import rules as _rules  # noqa: F401  (imports register the rule set)
-from repro.lint import xrules as _xrules  # noqa: F401  (registers the XMOD rules)
-from repro.lint.base import (
-    Checker,
-    Finding,
-    GraphChecker,
-    ModuleContext,
-    all_checkers,
-    all_graph_checkers,
-)
-from repro.lint.baseline import BaselineEntry, apply_baseline
-from repro.lint.graph import build_model
+from repro.lint.base import Checker, Finding, ModuleContext, all_checkers
 from repro.lint.noqa import is_suppressed, noqa_map
 
 #: Pseudo-rule code for files that fail to parse.
@@ -33,39 +23,19 @@ PARSE_ERROR_CODE = "PARSE"
 
 _SKIP_DIR_NAMES = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
-#: A directory containing this marker file is a lint *fixture* tree:
-#: deliberately-dirty inputs for the linter's own tests.  Walks skip such
-#: directories when they are strict descendants of the walk root, so
-#: ``repro.lint tests`` stays clean while a test targeting the fixture
-#: directory itself still lints it.
-FIXTURE_MARKER = ".lint-fixture"
-
-
-def _fixture_ancestor(candidate: Path, root: Path) -> bool:
-    """True when a directory strictly between root and candidate is a fixture."""
-    for parent in candidate.parents:
-        if parent == root:
-            return False
-        if (parent / FIXTURE_MARKER).is_file():
-            return True
-    return False
-
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
     """Yield every ``.py`` file under the given files/directories, sorted.
 
     Deterministic order (the linter practices what it preaches): directories
     are walked in sorted order, and explicitly listed files keep their
-    command-line order.  Subtrees flagged with :data:`FIXTURE_MARKER` are
-    skipped unless the walk starts at or inside them.
+    command-line order.
     """
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
             for candidate in sorted(path.rglob("*.py")):
                 if any(part in _SKIP_DIR_NAMES for part in candidate.parts):
-                    continue
-                if _fixture_ancestor(candidate, path):
                     continue
                 yield candidate
         else:
@@ -172,90 +142,3 @@ def lint_paths(
         report.findings.extend(lint_source(display, source, checkers))
     report.findings.sort(key=lambda finding: finding.sort_key)
     return report
-
-
-# ---------------------------------------------------------------------------
-# whole-program (cross-module) linting
-# ---------------------------------------------------------------------------
-
-
-def select_graph_checkers(
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> List[Type[GraphChecker]]:
-    """Resolve ``--select``/``--ignore`` against the cross-module registry."""
-    registry = all_graph_checkers()
-    selected: Set[str] = set(registry)
-    if select is not None:
-        wanted = {code.upper() for code in select}
-        unknown = wanted - set(registry)
-        if unknown:
-            raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-        selected = wanted
-    if ignore is not None:
-        dropped = {code.upper() for code in ignore}
-        unknown = dropped - set(registry)
-        if unknown:
-            raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-        selected -= dropped
-    return [registry[code] for code in sorted(selected)]
-
-
-@dataclass
-class GraphLintReport:
-    """Outcome of one :func:`graph_lint_paths` run."""
-
-    findings: List[Finding] = field(default_factory=list)
-    files_checked: int = 0
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def render_stale(self) -> List[str]:
-        """Human-readable stale-baseline notes (one per entry)."""
-        return [
-            f"stale baseline entry: {entry.path} {entry.code} {entry.symbol}"
-            for entry in self.stale_baseline
-        ]
-
-
-def graph_lint_paths(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    baseline: Optional[Sequence[BaselineEntry]] = None,
-) -> GraphLintReport:
-    """Run the cross-module XMOD rules over the whole program at once.
-
-    Every file under ``paths`` enters one shared project model (built by
-    :mod:`repro.lint.graph`); the selected graph rules then run on the
-    model.  Raw findings are filtered through per-module ``# noqa``
-    comments and then through the committed baseline, exactly in that
-    order — a ``# noqa`` is a permanent, in-code waiver, the baseline is
-    temporary debt.
-    """
-    checkers = select_graph_checkers(select, ignore)
-    files = list(iter_python_files(paths))
-    model = build_model(files)
-
-    noqa_by_path = {
-        record.path: record.noqa for record in model.modules.values()
-    }
-    raw: List[Finding] = []
-    for checker_cls in checkers:
-        raw.extend(checker_cls().check(model))
-    visible = [
-        finding for finding in raw
-        if not is_suppressed(
-            noqa_by_path.get(finding.path, {}), finding.line, finding.code
-        )
-    ]
-    surviving, stale = apply_baseline(visible, baseline or [])
-    surviving.sort(key=lambda finding: finding.sort_key)
-    return GraphLintReport(
-        findings=surviving,
-        files_checked=len(files),
-        stale_baseline=list(stale),
-    )

@@ -6,8 +6,7 @@
 nor anything else that reads a wall clock, so the read originates in
 whichever harness module builds the profile
 (``repro.experiments.parallel`` passes ``time.perf_counter``) and the
-``repro.lint --graph`` XMOD003 wall-clock-taint gate stays clean with an
-empty baseline.
+``repro.lint`` DET002 wall-clock gate stays clean with no waiver.
 
 Profiles are *not* deterministic and therefore never enter cached
 results: they ride in :class:`~repro.experiments.parallel.RunEvent`

@@ -89,7 +89,7 @@ class ProfileSink(Protocol):
     The clock is *injected* by the harness (``repro.experiments.parallel``
     passes ``time.perf_counter``): the engine never imports :mod:`time`, so
     the wall-clock read originates in an exempt harness module and the
-    ``repro.lint --graph`` XMOD003 gate stays clean (DESIGN.md §13).
+    ``repro.lint`` DET002 gate stays clean (DESIGN.md §13).
     """
 
     clock: Callable[[], float]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import JSON_SCHEMA_VERSION, main
+from repro.lint.cli import build_parser
 from repro.lint.runner import iter_python_files, lint_paths, select_checkers
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -35,8 +37,10 @@ def test_src_tree_is_clean():
 
 
 def test_module_invocation_on_src_exits_zero():
+    """The one static gate, exactly as CI runs it: every Python tree."""
     result = subprocess.run(
-        [sys.executable, "-m", "repro.lint", "src"],
+        [sys.executable, "-m", "repro.lint",
+         "src", "tests", "bench", "benchmarks", "examples"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
@@ -65,6 +69,18 @@ def test_main_returns_one_on_findings(dirty_file, capsys):
 def test_unknown_rule_code_is_usage_error(dirty_file):
     with pytest.raises(SystemExit) as excinfo:
         main([str(dirty_file), "--select", "NOPE999"])
+    assert excinfo.value.code == 2
+
+
+def test_cli_surface_is_one_mode_two_formats(dirty_file):
+    """One pass, text or JSON out: any other format is a usage error."""
+    help_text = build_parser().format_help()
+    assert set(re.findall(r"--[a-z][a-z-]*", help_text)) == {
+        "--help", "--select", "--ignore", "--format", "--list-rules",
+    }
+    assert "--format {text,json}" in help_text
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(dirty_file), "--format", "xml"])
     assert excinfo.value.code == 2
 
 
@@ -117,6 +133,9 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for code in ("DET001", "DET002", "DET003", "SIM001", "FLT001", "ERR001"):
         assert code in out
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "DET001", "DET002", "DET003", "ERR001", "ERR002", "FLT001", "SIM001",
+    ]
 
 
 def test_syntax_error_becomes_parse_finding(tmp_path):

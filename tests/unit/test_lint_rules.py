@@ -8,9 +8,14 @@ as silently quieter CI runs.
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 from repro.lint import lint_source
 from repro.lint.base import all_checkers
+from repro.lint.noqa import comment_waivers
+from repro.lint.runner import iter_python_files
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def findings_for(source: str, path: str = "src/repro/fake.py"):
@@ -88,6 +93,27 @@ def test_det002_time_module_calls():
         t2 = time.monotonic_ns()
     """
     assert codes_for(source) == ["DET002", "DET002", "DET002"]
+    # The rule looks at the read itself, so it does not matter how the
+    # function is reached: a packet callback only scheduled events call,
+    # or a helper two modules away from the callback that uses it.
+    callback = """
+        import time
+
+        class Sink:
+            def receive(self, pkt):
+                pkt.flow.delivered += 1
+                self.stamp = time.time()
+    """
+    (finding,) = findings_for(callback, path="src/repro/net/sink.py")
+    assert (finding.code, finding.line) == ("DET002", 7)
+    helper = """
+        import time
+
+        def stamp():
+            return time.time()
+    """
+    (finding,) = findings_for(helper, path="src/repro/units.py")
+    assert (finding.code, finding.line) == ("DET002", 5)
 
 
 def test_det002_from_time_import():
@@ -110,6 +136,7 @@ def test_det002_exempts_benchmarks_and_cache():
         t0 = time.perf_counter()
     """
     assert codes_for(source, path="benchmarks/test_speed.py") == []
+    assert codes_for(source, path="bench/host.py") == []
     assert codes_for(source, path="src/repro/experiments/parallel.py") == []
     # The result cache is not a clock user: its entries carry no timestamp.
     assert codes_for(source, path="src/repro/experiments/cache.py") == ["DET002"]
@@ -336,6 +363,18 @@ def test_err001_except_exception_pass():
             pass
     """
     assert codes_for(source) == ["ERR001"]
+    around_start = """
+        def run_scenario(sim, generator, sampler):
+            sim.schedule(1.0, sampler.start)
+            try:
+                generator.start()
+            except Exception:
+                pass
+            sim.run()
+    """
+    assert codes_for(around_start, path="src/repro/experiments/runner.py") == [
+        "ERR001"
+    ]
 
 
 def test_err001_narrow_handler_is_clean():
@@ -481,6 +520,53 @@ def test_noqa_only_covers_its_own_line():
         from random import choice
     """
     assert codes_for(source) == ["DET001"]
+
+
+def test_noqa_inside_a_string_literal_waives_nothing():
+    assert codes_for('import random; HINT = "# noqa"\n') == ["DET001"]
+    assert codes_for('import random; HINT = "# noqa"  # noqa: DET001\n') == []
+    source = """
+        import random; HINT = (
+            "suppress with '# noqa: DET001'")
+    """
+    assert codes_for(source) == ["DET001"]
+
+
+def test_comment_waivers_ignores_strings():
+    source = (
+        'HINT = "suppress with # noqa: DET001 when legitimate"\n'
+        "x = 1  # noqa: DET003\n"
+    )
+    assert comment_waivers(source) == [(2, "# noqa: DET003")]
+
+
+def test_comment_waivers_code_filter():
+    source = (
+        "import os  # noqa: F401\n"
+        "y = 2  # noqa\n"
+        "z = 3  # noqa: DET001\n"
+    )
+    codes = frozenset({"DET001"})
+    assert comment_waivers(source, codes=codes) == [
+        (2, "# noqa"),
+        (3, "# noqa: DET001"),
+    ]
+
+
+def test_src_has_zero_noqa_waivers():
+    """Policy: waivers are test-only; the library earns a clean bill.
+
+    Blanket ``# noqa`` comments and waivers naming any of this linter's
+    own codes both count; flake8-style waivers of foreign codes (e.g.
+    ``# noqa: F401`` on a registration import) do not.
+    """
+    own_codes = frozenset(all_checkers())
+    waivers = []
+    for path in iter_python_files([str(REPO_ROOT / "src")]):
+        source = path.read_text(encoding="utf-8")
+        for line, text in comment_waivers(source, codes=own_codes):
+            waivers.append(f"{path.as_posix()}:{line}: {text}")
+    assert waivers == []
 
 
 # -- findings carry fix metadata --------------------------------------------
