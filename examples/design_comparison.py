@@ -16,7 +16,7 @@ import argparse
 
 from repro import all_designs
 from repro.experiments import get_scenario, scaled_seeds
-from repro.experiments.lossload import eac_loss_load_curve, mbac_loss_load_curve
+from repro.experiments.lossload import CurveSpec, sweep_loss_load_curves
 from repro.experiments.report import format_curves
 
 
@@ -34,10 +34,12 @@ def main() -> None:
     print(f"Scenario: {scenario.description} ({scenario.figure}), "
           f"scale {args.scale:g}, seeds {list(seeds)}\n")
 
-    curves = [mbac_loss_load_curve(config, targets=(0.9, 1.0), seeds=seeds)]
-    for design in all_designs():
-        epsilons = (0.0, design.default_epsilons[-1])
-        curves.append(eac_loss_load_curve(config, design, epsilons, seeds=seeds))
+    # All five curves go out as one flat fan-out of (point, seed) runs.
+    sweeps = [CurveSpec.for_mbac((0.9, 1.0))] + [
+        CurveSpec.for_design(design, (0.0, design.default_epsilons[-1]))
+        for design in all_designs()
+    ]
+    curves = sweep_loss_load_curves(config, sweeps, seeds)
     print(format_curves(curves, title=f"Loss-load points: {args.scenario}"))
 
     floors = {c.label: min(c.losses) for c in curves}

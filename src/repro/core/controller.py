@@ -11,10 +11,10 @@ aggregates) plus two concrete controllers:
   "DiffServ without admission control" strawman used by examples.
 
 The measurement-window machinery implements the paper's warm-up discarding
-("data for the first 2000 seconds are discarded"): call
-:meth:`ControllerBase.begin_measurement` at the warm-up boundary and all
-blocking counts restart while per-flow byte counters of already-running
-flows are baselined and subtracted at aggregation time.
+("data for the first 2000 seconds are discarded"): every counter runs from
+t = 0 and never moves backwards; :meth:`ControllerBase.begin_measurement`
+at the warm-up boundary remembers their values (decision tallies, per-flow
+packet counters, port counters) and aggregation subtracts them.
 """
 
 from __future__ import annotations
@@ -125,18 +125,14 @@ class ControllerBase:
         self.outcomes: List[FlowOutcome] = []
         self._live: Dict[int, FlowOutcome] = {}
         self._baselines: Dict[int, Dict[str, int]] = {}
-        # Per-label [offered, admitted, timed_out, retries] tallies.
-        self._decisions: Dict[str, List[int]] = defaultdict(lambda: [0, 0, 0, 0])
-        # Lifetime per-label [offered, admitted] tallies — unlike
-        # ``_decisions`` these are never cleared at the warm-up boundary,
-        # so an external sampler can read them as cumulative series.
-        self._lifetime: Dict[str, List[int]] = defaultdict(lambda: [0, 0])
+        # Per-label [offered, admitted, timed_out, retries] since t = 0,
+        # and their values at the start of the measurement window.
+        self._tally: Dict[str, List[int]] = defaultdict(lambda: [0, 0, 0, 0])
+        self._tally_base: Dict[str, List[int]] = {}
         # Live per-label flow counts and admitted load (sum of token
         # rates), maintained incrementally for cheap periodic sampling.
         self._live_counts: Dict[str, int] = defaultdict(int)
         self._live_load: Dict[str, float] = defaultdict(float)
-        self.measuring = False
-        self.measure_start = 0.0
         #: Optional event-trace sink (repro.obs); the runner installs it
         #: and subclasses hand it to the agents/estimators they build.
         self.trace: Optional[TraceSink] = None
@@ -186,18 +182,13 @@ class ControllerBase:
 
     def _record_decision(self, outcome: FlowOutcome) -> None:
         self.outcomes.append(outcome)
-        if self.measuring:
-            counts = self._decisions[outcome.label]
-            counts[0] += 1
-            if outcome.admitted:
-                counts[1] += 1
-            if outcome.timed_out:
-                counts[2] += 1
-            counts[3] += outcome.retries
-        life = self._lifetime[outcome.label]
-        life[0] += 1
+        counts = self._tally[outcome.label]
+        counts[0] += 1
+        if outcome.timed_out:
+            counts[2] += 1
+        counts[3] += outcome.retries
         if outcome.admitted:
-            life[1] += 1
+            counts[1] += 1
             self._live[outcome.flow_id] = outcome
             self._live_counts[outcome.label] += 1
             self._live_load[outcome.label] += outcome.rate_bps
@@ -209,35 +200,37 @@ class ControllerBase:
 
     # -- measurement window ------------------------------------------------
 
-    def begin_measurement(self, reset_ports: bool = True) -> None:
+    def begin_measurement(self) -> None:
         """Start the measurement window (end of warm-up).
 
-        Flows already finished are forgotten; flows still running get their
-        counters baselined so only post-warm-up packets are aggregated.
-        ``reset_ports=False`` keeps the ports' byte counters intact (used
-        when an external sampler is reading them as cumulative series).
+        Nothing is zeroed: decision tallies, the packet counters of flows
+        still running and every port's counters are remembered here and
+        subtracted when read.  Flows already finished are forgotten.
         """
-        self.measuring = True
-        self.measure_start = self.sim.now
-        self._decisions.clear()
+        self._tally_base = {
+            label: list(counts) for label, counts in self._tally.items()
+        }
         self._baselines = {
             flow_id: outcome.data.snapshot()
             for flow_id, outcome in self._live.items()
             if outcome.data is not None
         }
         self.outcomes = [o for o in self.outcomes if not o.completed]
-        if reset_ports:
-            self.network.reset_stats()
+        now = self.sim.now
+        for port in self.network.ports():
+            port.stats.mark(now)
 
     def class_stats(self) -> Dict[str, ClassStats]:
         """Per-class aggregates over the measurement window."""
         result: Dict[str, ClassStats] = defaultdict(ClassStats)
-        for label, (offered, admitted, timed_out, retries) in self._decisions.items():
+        for label, counts in self._tally.items():
+            base = self._tally_base.get(label, (0, 0, 0, 0))
+            if counts[0] == base[0]:
+                continue  # no decision inside the window
             stats = result[label]
-            stats.offered = offered
-            stats.admitted = admitted
-            stats.timed_out = timed_out
-            stats.retries = retries
+            stats.offered, stats.admitted, stats.timed_out, stats.retries = (
+                c - b for c, b in zip(counts, base)
+            )
         for outcome in self.outcomes:
             if outcome.data is None:
                 continue
@@ -261,16 +254,15 @@ class ControllerBase:
     # -- sampling accessors (repro.obs.timeseries) ---------------------------
 
     def admission_counts(self) -> Dict[str, Tuple[int, int]]:
-        """Lifetime ``(offered, admitted)`` per class, sorted by label.
+        """Cumulative ``(offered, admitted)`` per class, sorted by label.
 
         Unlike :meth:`class_stats` these counts cover the whole run —
         prefilled flows and warm-up decisions included — so a periodic
-        sampler can difference them into per-interval accept/reject
-        rates without tripping over the measurement-window reset.
+        sampler can difference them into per-interval accept/reject rates.
         """
         return {
-            label: (self._lifetime[label][0], self._lifetime[label][1])
-            for label in sorted(self._lifetime)
+            label: (self._tally[label][0], self._tally[label][1])
+            for label in sorted(self._tally)
         }
 
     def live_class_load(self, label: str) -> Tuple[int, float]:

@@ -10,12 +10,9 @@ from repro.experiments.lossload import (
     CurveSpec,
     LossLoadCurve,
     LossLoadPoint,
-    eac_loss_load_curve,
-    mbac_loss_load_curve,
     sweep_loss_load_curves,
 )
 from repro.experiments.parallel import (
-    cached_replications,
     replicate_many,
     run_many,
     set_jobs,
@@ -26,7 +23,6 @@ from repro.experiments.runner import (
     ReplicatedResult,
     ScenarioConfig,
     ScenarioResult,
-    run_replications,
     run_scenario,
 )
 from repro.experiments.scenarios import (
@@ -49,18 +45,14 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "ScenarioSpec",
-    "cached_replications",
     "cached_run",
     "clear_cache",
     "default_scale",
-    "eac_loss_load_curve",
     "get_cache_dir",
     "get_scenario",
     "heterogeneous_classes",
-    "mbac_loss_load_curve",
     "replicate_many",
     "run_many",
-    "run_replications",
     "run_scenario",
     "scaled_seeds",
     "scaled_times",

@@ -631,9 +631,6 @@ def figure11(
         classes = [FlowClass(label="EXP1", spec=get_source_spec("EXP1"))]
         generator = FlowGenerator(sim, streams, classes, 3.5, controller.handle)
         sim.schedule_at(ac_start, generator.start)
-        # Count decisions from the moment AC traffic appears, but keep the
-        # port byte counters cumulative for the TCP-share sampler.
-        sim.schedule_at(ac_start, controller.begin_measurement, False)
 
         sampler = PeriodicSampler(sim, lambda: port.stats.be_bytes, interval)
         sim.run(until=duration)

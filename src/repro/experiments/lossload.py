@@ -163,27 +163,3 @@ def sweep_loss_load_curves(
             )
         curves.append(LossLoadCurve(label=sweep.label, points=points))
     return curves
-
-
-def eac_loss_load_curve(
-    config: ScenarioConfig,
-    design: EndpointDesign,
-    epsilons: Optional[Sequence[float]] = None,
-    seeds: Sequence[int] = (1,),
-    label: Optional[str] = None,
-) -> LossLoadCurve:
-    """Sweep epsilon for one endpoint design."""
-    eps_values = design.default_epsilons if epsilons is None else epsilons
-    sweep = CurveSpec.for_design(design, eps_values, label=label)
-    return sweep_loss_load_curves(config, [sweep], seeds)[0]
-
-
-def mbac_loss_load_curve(
-    config: ScenarioConfig,
-    targets: Sequence[float] = MBAC_TARGETS,
-    seeds: Sequence[int] = (1,),
-    label: str = "MBAC",
-) -> LossLoadCurve:
-    """Sweep the Measured Sum target utilization."""
-    sweep = CurveSpec.for_mbac(targets, label=label)
-    return sweep_loss_load_curves(config, [sweep], seeds)[0]

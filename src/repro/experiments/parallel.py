@@ -549,7 +549,6 @@ def replicate_many(
     pairs: Sequence[Tuple[ScenarioConfig, ControllerSpec]],
     seeds: Sequence[int] = (1,),
     jobs: Optional[int] = None,
-    keep_runs: bool = False,
 ) -> List[ReplicatedResult]:
     """Multi-seed replications of many (config, spec) pairs, fanned out flat.
 
@@ -570,30 +569,12 @@ def replicate_many(
     per_pair = len(seeds)
     for _ in pairs:
         chunk = islice(results, per_pair)
-        out.append(ReplicatedResult.aggregate(chunk, keep_runs=keep_runs))
+        out.append(ReplicatedResult.aggregate(chunk))
     # Run the generator to its end, not just to its last result: what
     # follows the final yield (the --obs-dir manifest) must happen too.
     if next(results, None) is not None:
         raise SweepError(f"sweep yielded more than its {len(tasks)} results")
     return out
-
-
-def cached_replications(
-    config: ScenarioConfig,
-    design: ControllerSpec = None,
-    seeds: Sequence[int] = (1,),
-    jobs: Optional[int] = None,
-    keep_runs: bool = False,
-) -> ReplicatedResult:
-    """Cached, parallel multi-seed run (each seed cached individually).
-
-    The successor of the old serial ``cache.cached_replications``: seeds
-    stream through :func:`iter_run_results` and fold into the aggregate
-    one at a time instead of being built up as an eager result list, and
-    per-seed :class:`ScenarioResult` objects are dropped once aggregated
-    unless ``keep_runs=True``.
-    """
-    return replicate_many([(config, design)], seeds, jobs=jobs, keep_runs=keep_runs)[0]
 
 
 class ProgressTracker:

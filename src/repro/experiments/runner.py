@@ -305,7 +305,9 @@ def run_scenario(
 
     now = sim.now
     totals = controller.totals()
-    per_link_util = [p.stats.utilization(p.rate_bps, now) for p in congested]
+    per_link_util = [
+        p.stats.window().utilization(p.rate_bps, now) for p in congested
+    ]
     per_link_loss = []
     for port in congested:
         # Whole-link drop fraction (all kinds: data + probes) over the full
@@ -320,9 +322,10 @@ def run_scenario(
     probe_util = 0.0
     if congested:
         port = congested[0]
-        elapsed = now - port.stats.since
+        window = port.stats.window()
+        elapsed = now - window.since
         if elapsed > 0:
-            probe_util = port.stats.probe_bytes * 8 / (port.rate_bps * elapsed)
+            probe_util = window.probe_bytes * 8 / (port.rate_bps * elapsed)
 
     metrics: Optional[Dict[str, Any]] = None
     if obs is not None and obs.metrics:
@@ -361,55 +364,40 @@ class ReplicatedResult:
     Built with :meth:`aggregate`, which folds per-seed results into running
     sums one at a time — at ``REPRO_SCALE=1.0`` a sweep touches thousands
     of runs, and holding every :class:`ScenarioResult` alive for the whole
-    sweep dominates memory.  ``keep_runs=True`` retains the per-seed
-    results for callers that inspect them (``run_replications`` does);
-    aggregated accessors (:attr:`seeds`, :meth:`class_mean`) work either
-    way.
+    sweep dominates memory.  A caller that wants the per-seed results
+    calls :func:`repro.experiments.parallel.run_many`.
     """
 
     controller_name: str
     utilization: float
     loss_probability: float
     blocking_probability: float
-    runs: List[ScenarioResult] = field(default_factory=list)
     n_runs: int = 0
     seeds_used: Tuple[int, ...] = ()
     per_class_means: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def seeds(self) -> List[int]:
-        """The seeds replicated over, whether or not runs were kept."""
-        if self.seeds_used:
-            return list(self.seeds_used)
-        return [r.seed for r in self.runs]
+        """The seeds replicated over."""
+        return list(self.seeds_used)
 
     def class_mean(self, label: str, key: str) -> float:
         """Mean of one per-class metric across seeds (0.0 if class absent)."""
-        if self.per_class_means:
-            return self.per_class_means.get(label, {}).get(key, 0.0)
-        values = [run.per_class[label][key] for run in self.runs if label in run.per_class]
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
+        return self.per_class_means.get(label, {}).get(key, 0.0)
 
     @classmethod
-    def aggregate(
-        cls,
-        results: Iterable[ScenarioResult],
-        keep_runs: bool = False,
-    ) -> "ReplicatedResult":
-        """Fold per-seed results into means without retaining them all.
+    def aggregate(cls, results: Iterable[ScenarioResult]) -> "ReplicatedResult":
+        """Fold per-seed results into means without retaining them.
 
         ``results`` is consumed lazily: each headline metric and each
-        per-class metric is accumulated into running sums, and (unless
-        ``keep_runs``) the :class:`ScenarioResult` is dropped before the
-        next one is pulled — peak memory is one run, not the whole sweep.
+        per-class metric is accumulated into running sums, and the
+        :class:`ScenarioResult` is dropped before the next one is pulled —
+        peak memory is one run, not the whole sweep.
         """
         n = 0
         controller_name = ""
         util_sum = loss_sum = block_sum = 0.0
         seeds: List[int] = []
-        runs: List[ScenarioResult] = []
         class_sums: Dict[str, Dict[str, float]] = {}
         class_counts: Dict[str, int] = {}
         for result in results:
@@ -426,8 +414,6 @@ class ReplicatedResult:
                 for stat_key, value in stats.items():
                     if isinstance(value, (int, float)):
                         sums[stat_key] = sums.get(stat_key, 0.0) + value
-            if keep_runs:
-                runs.append(result)
         if n == 0:
             raise ConfigurationError("need at least one seed")
         per_class_means = {
@@ -439,28 +425,7 @@ class ReplicatedResult:
             utilization=util_sum / n,
             loss_probability=loss_sum / n,
             blocking_probability=block_sum / n,
-            runs=runs,
             n_runs=n,
             seeds_used=tuple(seeds),
             per_class_means=per_class_means,
         )
-
-
-def run_replications(
-    config: ScenarioConfig,
-    design: ControllerSpec = None,
-    seeds: Sequence[int] = (1,),
-) -> ReplicatedResult:
-    """Run the scenario once per seed and average the headline metrics.
-
-    The paper averages 7 seeds; the default here is a single seed — pass
-    more for paper-grade smoothing.  Runs are neither cached nor
-    parallelized; sweeps should go through
-    :func:`repro.experiments.parallel.cached_replications` instead.
-    """
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
-    return ReplicatedResult.aggregate(
-        (run_scenario(config.with_seed(seed), design) for seed in seeds),
-        keep_runs=True,
-    )

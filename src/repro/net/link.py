@@ -34,18 +34,23 @@ class LossModel(Protocol):
         ...
 
 
+_COUNTERS = ("data_bytes", "probe_bytes", "be_bytes", "other_bytes",
+             "data_packets", "probe_packets", "arrived_data_bytes",
+             "arrived_probe_bytes")
+
+
 class PortStats:
-    """Byte/packet counters for one port, resettable for warm-up discarding."""
+    """Byte/packet counters for one port over ``[since, now]``.
 
-    __slots__ = ("data_bytes", "probe_bytes", "be_bytes", "other_bytes",
-                 "data_packets", "probe_packets", "since", "arrived_data_bytes",
-                 "arrived_probe_bytes")
+    A port's live counters run from t = 0 and are monotone for the life
+    of the run, so anything may difference them.  Warm-up discarding is a
+    remembered value, never a reset: :meth:`mark` snapshots the counters
+    and :meth:`window` returns the detached difference.
+    """
 
-    def __init__(self) -> None:
-        self.reset(0.0)
+    __slots__ = _COUNTERS + ("since", "_base")
 
-    def reset(self, now: float) -> None:
-        """Zero all counters and mark the start of the measurement window."""
+    def __init__(self, since: float = 0.0) -> None:
         self.data_bytes = 0
         self.probe_bytes = 0
         self.be_bytes = 0
@@ -54,10 +59,25 @@ class PortStats:
         self.probe_packets = 0
         self.arrived_data_bytes = 0
         self.arrived_probe_bytes = 0
-        self.since = now
+        self.since = since
+        self._base: Optional[PortStats] = None
+
+    def mark(self, now: float) -> None:
+        """Start the measurement window at ``now``; no counter moves."""
+        self._base = base = PortStats(now)
+        for name in _COUNTERS:
+            setattr(base, name, getattr(self, name))
+
+    def window(self) -> "PortStats":
+        """Detached counters since the last :meth:`mark` (t = 0 if none)."""
+        base = self._base if self._base is not None else PortStats()
+        out = PortStats(base.since)
+        for name in _COUNTERS:
+            setattr(out, name, getattr(self, name) - getattr(base, name))
+        return out
 
     def utilization(self, rate_bps: float, now: float, include_probes: bool = False) -> float:
-        """Fraction of the port's capacity consumed since the last reset.
+        """Fraction of the port's capacity consumed since ``since``.
 
         Following the paper, probe bytes are excluded by default: "we do not
         include probe traffic in our utilization figures".

@@ -130,12 +130,6 @@ class Network:
         """Scale the capacity of ``u -> v``; ``factor=1.0`` restores it."""
         self.port(u, v).set_capacity_factor(factor)
 
-    def reset_stats(self) -> None:
-        """Reset every port's counters (start of the measurement window)."""
-        now = self.sim.now
-        for port in self._ports.values():
-            port.stats.reset(now)
-
 
 def single_link(
     sim: Simulator,

@@ -37,9 +37,9 @@ def collect_simulator(registry: MetricsRegistry, sim: Simulator) -> None:
 
 
 def collect_port(registry: MetricsRegistry, port: OutputPort) -> None:
-    """One port's byte/packet/drop counters and instantaneous state."""
+    """One port's measurement-window counters and instantaneous state."""
     name = port.name
-    stats = port.stats
+    stats = port.stats.window()
     registry.counter("port_data_bytes", port=name).inc(stats.data_bytes)
     registry.counter("port_probe_bytes", port=name).inc(stats.probe_bytes)
     registry.counter("port_be_bytes", port=name).inc(stats.be_bytes)

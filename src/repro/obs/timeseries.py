@@ -41,7 +41,7 @@ TIMESERIES_SCHEMA_VERSION = 1
 
 
 def _tx_bytes(port: OutputPort) -> int:
-    """Total bytes this port has transmitted since its last stats reset."""
+    """Total bytes this port has transmitted since t = 0."""
     stats = port.stats
     return (stats.data_bytes + stats.probe_bytes + stats.be_bytes
             + stats.other_bytes)
@@ -50,9 +50,7 @@ def _tx_bytes(port: OutputPort) -> int:
 def _drop_count(port: OutputPort) -> int:
     """Cumulative losses at this port: queue drops plus fault drops.
 
-    Monotone over the whole run — queue-discipline and fault counters are
-    never reset by the warm-up boundary, so interval deltas need no
-    reset handling.
+    Monotone over the whole run, like every counter a run keeps.
     """
     return int(getattr(port.qdisc, "drops", 0)) + port.fault_drops
 
@@ -72,7 +70,7 @@ class TimeSeriesSampler:
         The ports to track, in deterministic (topology) order.
     controller:
         The run's admission controller; per-class columns read its
-        lifetime admission counts and live-flow load, and a
+        cumulative admission counts and live-flow load, and a
         :class:`~repro.mbac.measured_sum.MeasuredSumController` also gets
         per-port estimator columns.
     class_labels:
@@ -161,10 +159,6 @@ class TimeSeriesSampler:
         for j, port in enumerate(self._ports):
             tx = _tx_bytes(port)
             delta = tx - self._last_tx[j]
-            if delta < 0:
-                # The warm-up boundary reset the port's counters between
-                # two samples; count only the bytes since the reset.
-                delta = tx
             self._last_tx[j] = tx
             columns[col].append(
                 delta * BITS_PER_BYTE / (port.rate_bps * interval)

@@ -30,11 +30,12 @@ def _strict_simulators_by_default():
 def _isolate_sweep_state(tmp_path, monkeypatch):
     """Keep the sweep runner's process-global knobs hermetic per test.
 
-    CLI entry points install a default cache directory, a jobs count and
-    a progress hook; any test that exercises them would otherwise leak
-    that state (and disk-cache writes) into later tests.  The CLI default
-    cache dir is redirected into the test's tmp_path, and all three knobs
-    are reset afterwards.  The in-process memo cache is deliberately left
+    CLI entry points install a default cache directory, a jobs count, a
+    progress hook and an ``--obs-dir``; any test that exercises them would
+    otherwise leak that state (and disk-cache or artifact writes) into
+    later tests.  The CLI default cache dir is redirected into the test's
+    tmp_path, and the cache dir and all six of ``parallel``'s setters are
+    reset afterwards.  The in-process memo cache is deliberately left
     alone — sharing it across tests is long-standing behavior.
     """
     from repro.experiments import cache, cli, parallel
@@ -47,6 +48,7 @@ def _isolate_sweep_state(tmp_path, monkeypatch):
     parallel.set_task_timeout(None)
     parallel.set_task_hook(None)
     parallel.set_profile(False)
+    parallel.set_obs_dir(None)
 
 
 @pytest.fixture

@@ -5,9 +5,9 @@ Run from the repo root with the *reference* implementation checked out:
     PYTHONPATH=src python tests/fixtures/generate_golden.py
 
 The fixture pins, for a small deterministic matrix of (scenario, seed)
-points, the exact :class:`~repro.experiments.runner.ScenarioResult` payload
-and the cache ``run_key`` computed with the code fingerprint pinned to a
-constant.  ``tests/unit/test_golden_identity.py`` replays the same runs on
+points plus the :data:`VARIANTS`, the exact
+:class:`~repro.experiments.runner.ScenarioResult` payload and the cache
+``run_key`` computed with the code fingerprint pinned to a constant.  ``tests/unit/test_golden_identity.py`` replays the same runs on
 the current code and asserts byte-for-byte equality, which is what lets
 hot-path optimisations (pooled events, self-clocked links, packet free
 lists) prove they are behaviour-invisible.
@@ -16,14 +16,21 @@ lists) prove they are behaviour-invisible.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Any, Dict, Optional, Tuple
 from unittest import mock
 
 from repro.core.design import CongestionSignal, EndpointDesign, ProbeBand, ProbingScheme
 from repro.experiments import cache
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import (
+    ControllerSpec,
+    MbacConfig,
+    ScenarioConfig,
+    run_scenario,
+)
 from repro.experiments.scenarios import get_scenario
+from repro.obs.config import ObsConfig
 
 #: Small but non-trivial scale: 120 s warm-up + 48 s measured window.
 SCALE = 0.004
@@ -37,24 +44,43 @@ DESIGN = EndpointDesign(
     CongestionSignal.DROP, ProbeBand.IN_BAND, ProbingScheme.SLOW_START
 )
 
+#: ``basic`` seed 1 again as (controller, obs) variants.  The matrix above
+#: never runs the MBAC estimator or the time-series sampler, which is how a
+#: negative load sample and a 0.0 utilisation sample at the warm-up
+#: boundary lived unpinned until PR 23.
+VARIANTS: Dict[str, Tuple[ControllerSpec, Optional[ObsConfig]]] = {
+    "mbac": (MbacConfig(0.9), None),
+    "timeseries": (
+        DESIGN, ObsConfig(metrics=False, trace=False, timeseries=True)
+    ),
+}
+
+
+def task(point: Dict[str, Any]) -> Tuple[ScenarioConfig, ControllerSpec]:
+    """The (config, controller spec) a fixture point pins."""
+    spec, obs = VARIANTS.get(point.get("variant"), (DESIGN, None))
+    config = get_scenario(point["scenario"]).config(
+        scale=SCALE, seed=point["seed"]
+    )
+    return replace(config, obs=obs), spec
+
 
 def build() -> dict:
+    matrix = [
+        {"scenario": name, "seed": seed} for name in SCENARIOS for seed in SEEDS
+    ] + [
+        {"scenario": "basic", "seed": 1, "variant": variant}
+        for variant in VARIANTS
+    ]
     points = []
-    for name in SCENARIOS:
-        spec = get_scenario(name)
-        for seed in SEEDS:
-            config = spec.config(scale=SCALE, seed=seed)
-            result = run_scenario(config, DESIGN)
-            with mock.patch.object(
-                cache, "code_fingerprint", return_value=PINNED_FINGERPRINT
-            ):
-                key = cache.run_key(config, DESIGN)
-            points.append({
-                "scenario": name,
-                "seed": seed,
-                "run_key": key,
-                "result": asdict(result),
-            })
+    for point in matrix:
+        config, spec = task(point)
+        result = run_scenario(config, spec)
+        with mock.patch.object(
+            cache, "code_fingerprint", return_value=PINNED_FINGERPRINT
+        ):
+            key = cache.run_key(config, spec)
+        points.append({**point, "run_key": key, "result": asdict(result)})
     return {
         "scale": SCALE,
         "design": "drop/in-band/slow-start",

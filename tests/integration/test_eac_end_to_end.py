@@ -76,10 +76,10 @@ def test_probe_traffic_is_a_small_fraction(results):
         assert results[key].probe_utilization < 0.05
 
 
-def test_epsilon_trades_loss_for_utilization():
+def test_epsilon_trades_loss_for_utilization(results):
     config = ScenarioConfig(**BASIC)
     design = eac(CongestionSignal.DROP, ProbeBand.IN_BAND)
-    strict = run_scenario(config, design.with_epsilon(0.0))
+    strict = results["drop-in"]  # the fixture's run is this design at eps=0
     loose = run_scenario(config, design.with_epsilon(0.05))
     assert loose.utilization >= strict.utilization - 0.02
     assert loose.blocking_probability <= strict.blocking_probability + 0.02
@@ -94,16 +94,12 @@ def test_slow_start_preserves_utilization_under_heavy_load():
     assert slow.utilization > simple.utilization
 
 
-def test_in_band_drop_floor_near_rule_of_thumb():
+def test_in_band_drop_floor_near_rule_of_thumb(results):
     """Paper Section 4.1: at eps=0, in-band dropping still loses ~0.4%
     (rule of thumb 1 - 2^(-P/(rT)) ~ 0.13%, observed ~3x that)."""
-    config = ScenarioConfig(**BASIC)
-    result = run_scenario(config, eac(CongestionSignal.DROP, ProbeBand.IN_BAND))
-    assert 5e-4 < result.loss_probability < 2e-2
+    assert 5e-4 < results["drop-in"].loss_probability < 2e-2
 
 
-def test_out_of_band_marking_achieves_the_lowest_floor():
-    config = ScenarioConfig(**BASIC)
-    drop_in = run_scenario(config, eac(CongestionSignal.DROP, ProbeBand.IN_BAND))
-    mark_out = run_scenario(config, eac(CongestionSignal.MARK, ProbeBand.OUT_OF_BAND))
+def test_out_of_band_marking_achieves_the_lowest_floor(results):
+    drop_in, mark_out = results["drop-in"], results["mark-out"]
     assert mark_out.loss_probability < drop_in.loss_probability

@@ -130,16 +130,43 @@ class TestMeasurementWindow:
         sim.run(until=6.0)
         assert controller.totals().sent == 0
 
-    def test_port_stats_reset_optional(self):
+    def test_port_counters_continue_across_the_boundary(self):
         sim, net, port, controller = setup_noac()
         controller.handle(request(1, lifetime=100.0))
         sim.run(until=10.0)
         served = port.stats.data_bytes
         assert served > 0
-        controller.begin_measurement(reset_ports=False)
-        assert port.stats.data_bytes == served
         controller.begin_measurement()
-        assert port.stats.data_bytes == 0
+        assert port.stats.data_bytes == served
+        assert port.stats.window().data_bytes == 0
+        assert port.stats.window().since == 10.0
+        sim.run(until=20.0)
+        assert port.stats.data_bytes > served
+        assert port.stats.window().data_bytes == port.stats.data_bytes - served
+
+    def test_begin_measurement_marks_every_port(self):
+        sim, net, port, controller = setup_noac()
+        back = net.add_link("dst", "src", mbps(10), lambda: DropTailFifo(10))
+        port.stats.data_bytes = 999
+        back.stats.data_bytes = 77
+        sim.run(until=3.0)
+        controller.begin_measurement()
+        for p, total in ((port, 999), (back, 77)):
+            assert p.stats.data_bytes == total
+            assert p.stats.window().data_bytes == 0
+            assert p.stats.window().since == 3.0
+
+    def test_cumulative_and_window_counts_share_one_tally(self):
+        sim, net, port, controller = setup_noac()
+        controller.handle(request(1, lifetime=5.0))
+        assert controller.totals().offered == 1  # the window opens at t = 0
+        sim.run(until=6.0)
+        controller.begin_measurement()
+        assert controller.class_stats() == {}  # no decision in the window yet
+        controller.handle(request(2, lifetime=5.0))
+        controller.handle(request(3, lifetime=5.0))
+        assert controller.admission_counts() == {"EXP1": (3, 3)}
+        assert controller.totals().offered == 2
 
     def test_per_class_split(self):
         sim, net, port, controller = setup_noac()

@@ -8,10 +8,10 @@ from repro.experiments import cache as run_cache
 from repro.experiments import parallel
 from repro.experiments.cli import EXPERIMENTS, build_parser, main, parse_design
 from repro.experiments.lossload import (
+    CurveSpec,
     LossLoadCurve,
     LossLoadPoint,
-    eac_loss_load_curve,
-    mbac_loss_load_curve,
+    sweep_loss_load_curves,
 )
 from repro.experiments.report import format_curves, format_series, format_table
 from repro.experiments.runner import ScenarioConfig
@@ -94,14 +94,15 @@ class TestScenarios:
 class TestLossLoad:
     def test_eac_curve_has_point_per_epsilon(self):
         config = ScenarioConfig(source="EXP1", interarrival=2.0, **FAST)
-        curve = eac_loss_load_curve(config, DESIGN, epsilons=(0.0, 0.05),
-                                    seeds=(1,))
+        sweep = CurveSpec.for_design(DESIGN, (0.0, 0.05))
+        (curve,) = sweep_loss_load_curves(config, [sweep], seeds=(1,))
         assert [p.parameter for p in curve.points] == [0.0, 0.05]
         assert curve.label == DESIGN.name
 
     def test_mbac_curve(self):
         config = ScenarioConfig(source="EXP1", interarrival=2.0, **FAST)
-        curve = mbac_loss_load_curve(config, targets=(0.9,), seeds=(1,))
+        sweep = CurveSpec.for_mbac((0.9,))
+        (curve,) = sweep_loss_load_curves(config, [sweep], seeds=(1,))
         assert len(curve.points) == 1
         assert curve.label == "MBAC"
 
@@ -140,10 +141,9 @@ class TestCache:
     def test_cached_replications(self):
         run_cache.clear_cache()
         config = ScenarioConfig(source="EXP1", interarrival=2.0, **FAST)
-        rep = parallel.cached_replications(config, DESIGN, seeds=(1, 2))
+        (rep,) = parallel.replicate_many([(config, DESIGN)], seeds=(1, 2))
         assert rep.n_runs == 2
         assert rep.seeds == [1, 2]
-        assert rep.runs == []  # per-seed results dropped once aggregated
         assert run_cache.cache_size() == 2
 
 

@@ -1,14 +1,16 @@
 """Golden byte-identity: the fast path must be behaviour-invisible.
 
 The fixture ``tests/fixtures/golden_scenarios.json`` pins, for a small
-matrix of (scenario, seed) points, the exact ScenarioResult payload and
-the cache ``run_key`` produced by the reference implementation (with the
-code fingerprint pinned to a constant so the key checks config/schema
-stability rather than source bytes).  These tests replay every point on
-the current code and assert equality — the contract that lets hot-path
-optimisations (pooled event records, the self-clocked transmit chain,
-packet free lists) land without any behavioural review: if a single
-counter, float, or key moves, the optimisation is not an optimisation.
+matrix of (scenario, seed) points plus an MBAC and a time-series variant
+(``tests/fixtures/generate_golden.py`` defines both), the exact
+ScenarioResult payload and the cache ``run_key`` produced by the
+reference implementation (with the code fingerprint pinned to a constant
+so the key checks config/schema stability rather than source bytes).
+These tests replay every point on the current code and assert equality
+— the contract that lets hot-path optimisations (pooled event records,
+the self-clocked transmit chain, packet free lists) land without any
+behavioural review: if a single counter, float, or key moves, the
+optimisation is not an optimisation.
 
 The full matrix replays with ``strict=False`` engines — the production
 fast path the optimisations target.  One point additionally replays
@@ -20,6 +22,7 @@ tests/fixtures/generate_golden.py``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -28,27 +31,31 @@ from unittest import mock
 
 import pytest
 
-from repro.core.design import (
-    CongestionSignal,
-    EndpointDesign,
-    ProbeBand,
-    ProbingScheme,
-)
+from repro import canonical
 from repro.experiments import cache
 from repro.experiments.runner import ScenarioResult, run_scenario
-from repro.experiments.scenarios import get_scenario
 from repro.sim.engine import set_strict_default
+
+from tests.fixtures.generate_golden import SCALE, VARIANTS, task
 
 _FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "golden_scenarios.json"
 _GOLDEN: Dict[str, Any] = json.loads(_FIXTURE.read_text())
 
-_DESIGN = EndpointDesign(
-    CongestionSignal.DROP, ProbeBand.IN_BAND, ProbingScheme.SLOW_START
+#: SHA-256 over the ``result`` and ``run_key`` entries of the six
+#: (scenario, seed) points as committed before the variants were appended
+#: (PR 22's file): regenerating the fixture must never move them.
+_ORIGINAL_SIX_SHA256 = (
+    "6e57bf71b71b2e3e05159b71a59aa693dc6b4b45a1983a5a220d2a1e7b8a0d64"
 )
 
+
+def _point_id(point: Dict[str, Any]) -> str:
+    name = f"{point['scenario']}-seed{point['seed']}"
+    return f"{name}-{point['variant']}" if "variant" in point else name
+
+
 _POINTS = [
-    pytest.param(point, id=f"{point['scenario']}-seed{point['seed']}")
-    for point in _GOLDEN["points"]
+    pytest.param(point, id=_point_id(point)) for point in _GOLDEN["points"]
 ]
 
 
@@ -60,23 +67,42 @@ def _canonical(result: ScenarioResult) -> Dict[str, Any]:
 
 
 def _replay(point: Dict[str, Any]) -> Tuple[ScenarioResult, str]:
-    config = get_scenario(point["scenario"]).config(
-        scale=_GOLDEN["scale"], seed=point["seed"]
-    )
-    result = run_scenario(config, _DESIGN)
+    config, spec = task(point)
+    result = run_scenario(config, spec)
     with mock.patch.object(
         cache, "code_fingerprint", return_value=_GOLDEN["pinned_fingerprint"]
     ):
-        key = cache.run_key(config, _DESIGN)
+        key = cache.run_key(config, spec)
     return result, key
 
 
 def test_fixture_is_well_formed() -> None:
     assert _GOLDEN["design"] == "drop/in-band/slow-start"
-    assert len(_GOLDEN["points"]) == 6
+    assert _GOLDEN["scale"] == SCALE
+    assert len(_GOLDEN["points"]) == 8
     scenarios = {p["scenario"] for p in _GOLDEN["points"]}
     assert scenarios == {"basic", "high-load-flaky"}
-    assert len({p["run_key"] for p in _GOLDEN["points"]}) == 6
+    assert len({p["run_key"] for p in _GOLDEN["points"]}) == 8
+    assert [p.get("variant") for p in _GOLDEN["points"]] == [None] * 6 + list(VARIANTS)
+
+
+def test_original_six_points_never_moved() -> None:
+    pinned = [
+        {"result": p["result"], "run_key": p["run_key"]}
+        for p in _GOLDEN["points"][:6]
+    ]
+    digest = hashlib.sha256(canonical.dumps(pinned).encode()).hexdigest()
+    assert digest == _ORIGINAL_SIX_SHA256
+
+
+def test_variants_exercise_what_they_pin() -> None:
+    mbac, sampled = _GOLDEN["points"][6:]
+    assert mbac["result"]["controller_name"] == "mbac(u=0.9)"
+    series = sampled["result"]["timeseries"]["series"]["port:src->dst:util"]
+    times = sampled["result"]["timeseries"]["t"]
+    # No phantom outage at the warm-up boundary (t = 120 s is a sample time).
+    assert 120.0 in times
+    assert all(u > 0.5 for t, u in zip(times, series) if t >= 5.0)
 
 
 @pytest.mark.parametrize("point", _POINTS)

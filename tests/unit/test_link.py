@@ -79,14 +79,34 @@ def test_utilization_excludes_probes_by_default(sim):
     assert util_all == pytest.approx(2 * util_data)
 
 
-def test_stats_reset(sim):
+def test_stats_mark_opens_a_window_without_touching_counters(sim):
     port, sink = make_link(sim, rate_bps=1e6)
     send_packets(sim, port, sink, 3)
     sim.run(until=0.5)
-    port.stats.reset(sim.now)
-    assert port.stats.data_bytes == 0
-    assert port.stats.since == 0.5
-    assert port.stats.utilization(port.rate_bps, sim.now) == 0.0
+    before = port.stats.window()
+    assert (before.data_bytes, before.since) == (375, 0.0)
+    port.stats.mark(sim.now)
+    # Counters continue across the mark; the window subtracts; since moves.
+    assert port.stats.data_bytes == 375
+    assert port.stats.since == 0.0
+    window = port.stats.window()
+    assert window.data_bytes == 0
+    assert window.since == 0.5
+    assert window.utilization(port.rate_bps, sim.now) == 0.0
+    send_packets(sim, port, sink, 2)
+    sim.run(until=1.0)
+    assert port.stats.data_bytes == 625
+    assert port.stats.arrived_data_bytes == 625
+    window = port.stats.window()
+    assert (window.data_bytes, window.data_packets) == (250, 2)
+    assert window.arrived_data_bytes == 250
+    assert window.utilization(port.rate_bps, sim.now) == pytest.approx(
+        250 * 8 / (1e6 * 0.5))
+    # The window is detached: later traffic does not move it.
+    send_packets(sim, port, sink, 1)
+    sim.run(until=1.5)
+    assert window.data_bytes == 250
+    assert port.stats.window().data_bytes == 375
 
 
 def test_multi_hop_route(sim):

@@ -21,7 +21,7 @@ from repro.core.design import (
     ProbingScheme,
 )
 from repro.errors import ReproError
-from repro.experiments import cache, parallel
+from repro.experiments import cache, cli, parallel
 from repro.experiments.runner import ScenarioConfig
 from repro.obs import ObsConfig, ObsDirWriter, TraceRecorder
 from repro.obs.export import sanitize_name
@@ -45,11 +45,41 @@ def fast_config(seed: int) -> ScenarioConfig:
 def _fresh_state():
     cache.set_cache_dir(None)
     cache.clear_cache(disk=False)
-    parallel.set_obs_dir(None)
     yield
     cache.set_cache_dir(None)
     cache.clear_cache(disk=False)
-    parallel.set_obs_dir(None)
+
+
+def _dir_bytes(directory):
+    if not directory.exists():
+        return {}
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestObsDirDoesNotLeak:
+    """``--obs-dir`` is process-wide state; conftest resets it per test."""
+
+    @pytest.fixture(scope="class")
+    def cli_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cli-obs") / "out"
+
+    def test_cli_run_exports_into_the_obs_dir(self, cli_dir, monkeypatch,
+                                              capsys):
+        # Keep the CLI's configuration of the sweep runner, shrink its task.
+        real_run_many = parallel.run_many
+        monkeypatch.setattr(
+            parallel, "run_many",
+            lambda tasks, **kw: real_run_many([(fast_config(1), DESIGN)], **kw),
+        )
+        assert cli.main(["run", "basic", "--design", "drop/in-band",
+                         "--no-cache", "--obs-dir", str(cli_dir)]) == 0
+        assert "manifest.json" in _dir_bytes(cli_dir)
+
+    def test_following_bare_sweep_writes_nothing(self, cli_dir):
+        # Meaningful after the test above (file order); alone it is vacuous.
+        before = _dir_bytes(cli_dir)
+        parallel.run_many([(fast_config(2), DESIGN)], jobs=1)
+        assert _dir_bytes(cli_dir) == before
 
 
 class TestSanitizeName:

@@ -114,6 +114,29 @@ class TestSampler:
         assert sampled.admitted == plain.admitted
         assert sampled.per_class == plain.per_class
 
+    @pytest.mark.parametrize("warmup", [20.0, 22.5],
+                             ids=["boundary-on-a-sample", "boundary-between"])
+    def test_util_conserves_bytes_across_the_warmup_boundary(self, warmup):
+        # Referee: the tx trace, which never looks at a port counter.
+        obs = ObsConfig(metrics=False, trace=True, categories=("tx",),
+                        timeseries=True, timeseries_interval=5.0)
+        sampled = run_scenario(fast_config(obs=obs, warmup=warmup), DESIGN)
+        ts = sampled.timeseries
+        util = ts["series"]["port:src->dst:util"]
+        sampled_bytes = sum(u * FAST["link_rate_bps"] * 5.0 / 8 for u in util)
+        tx_bytes = sum(
+            rec["size"] for rec in parse_lines(sampled.trace)
+            if rec["port"] == "src->dst" and rec["t"] <= ts["t"][-1]
+        )
+        assert sampled_bytes == pytest.approx(tx_bytes, rel=1e-9)
+        # No phantom outage where the measured window begins.
+        assert all(u > 0.0 for t, u in zip(ts["t"], util) if t >= 5.0)
+        plain = run_scenario(fast_config(warmup=warmup), DESIGN)
+        for name in ("utilization", "loss_probability", "blocking_probability",
+                     "offered", "admitted", "per_class",
+                     "per_link_utilization", "probe_utilization"):
+            assert getattr(sampled, name) == getattr(plain, name), name
+
     def test_values_track_admitted_load(self):
         result = run_scenario(fast_config(obs=TS_OBS), DESIGN)
         series = result.timeseries["series"]

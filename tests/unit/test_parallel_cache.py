@@ -239,16 +239,15 @@ class TestParallelDeterminism:
         assert {e.source for e in events} == {"memo"}
 
     def test_replicate_many_streams_by_default(self):
-        rep = parallel.cached_replications(fast_config(), DESIGN, seeds=(1, 2))
+        (rep,) = parallel.replicate_many([(fast_config(), DESIGN)], seeds=(1, 2))
         assert rep.n_runs == 2
-        assert rep.runs == []
-        kept = parallel.cached_replications(
-            fast_config(), DESIGN, seeds=(1, 2), keep_runs=True
-        )
-        assert len(kept.runs) == 2
-        assert kept.utilization == rep.utilization
-        assert kept.loss_probability == rep.loss_probability
-        assert kept.seeds == rep.seeds == [1, 2]
+        assert not hasattr(rep, "runs")  # the aggregate retains no run
+        # A caller that wants the per-seed results asks run_many for them.
+        kept = parallel.run_many([(fast_config(s), DESIGN) for s in (1, 2)])
+        assert len(kept) == 2
+        assert sum(r.utilization for r in kept) / 2 == rep.utilization
+        assert sum(r.loss_probability for r in kept) / 2 == rep.loss_probability
+        assert [r.seed for r in kept] == rep.seeds == [1, 2]
 
 
 class TestProgressTracker:

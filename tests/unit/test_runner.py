@@ -4,12 +4,8 @@ import pytest
 
 from repro.core.design import CongestionSignal, EndpointDesign, ProbeBand, ProbingScheme
 from repro.errors import ConfigurationError
-from repro.experiments.runner import (
-    MbacConfig,
-    ScenarioConfig,
-    run_replications,
-    run_scenario,
-)
+from repro.experiments.parallel import replicate_many, run_many
+from repro.experiments.runner import MbacConfig, ScenarioConfig, run_scenario
 from repro.traffic.catalog import get_source_spec
 from repro.traffic.flowgen import FlowClass
 from repro.units import mbps
@@ -105,20 +101,25 @@ def test_parking_lot_topology_runs():
 
 def test_replications_average():
     config = ScenarioConfig(source="EXP1", interarrival=2.0, **FAST)
-    rep = run_replications(config, DESIGN, seeds=(1, 2, 3))
-    assert len(rep.runs) == 3
-    assert rep.seeds == [1, 2, 3]
-    utils = [r.utilization for r in rep.runs]
+    (rep,) = replicate_many([(config, DESIGN)], seeds=(1, 2, 3))
+    # Per-seed results are run_many's job; the aggregate is their mean.
+    runs = run_many([(config.with_seed(seed), DESIGN) for seed in (1, 2, 3)])
+    assert rep.n_runs == len(runs) == 3
+    assert rep.seeds == [r.seed for r in runs] == [1, 2, 3]
+    utils = [r.utilization for r in runs]
     assert rep.utilization == pytest.approx(sum(utils) / 3)
+    blocking = [r.per_class["EXP1"]["blocking_probability"] for r in runs]
+    assert rep.class_mean("EXP1", "blocking_probability") == pytest.approx(
+        sum(blocking) / 3)
 
 
 def test_replications_need_seeds():
     config = ScenarioConfig(**FAST)
     with pytest.raises(ConfigurationError):
-        run_replications(config, DESIGN, seeds=())
+        replicate_many([(config, DESIGN)], seeds=())
 
 
 def test_class_mean_missing_label_is_zero():
     config = ScenarioConfig(source="EXP1", interarrival=2.0, **FAST)
-    rep = run_replications(config, DESIGN, seeds=(1,))
+    (rep,) = replicate_many([(config, DESIGN)], seeds=(1,))
     assert rep.class_mean("NOPE", "loss_probability") == 0.0

@@ -133,15 +133,6 @@ class TestNetwork:
         net.add_link("a", "b", 1e6, qdisc, bidirectional=True)
         assert net.port("b", "a") is not net.port("a", "b")
 
-    def test_reset_stats_touches_all_ports(self, sim):
-        net = Network(sim)
-        net.add_node("a")
-        net.add_node("b")
-        port = net.add_link("a", "b", 1e6, qdisc)
-        port.stats.data_bytes = 999
-        net.reset_stats()
-        assert port.stats.data_bytes == 0
-
 
 class TestBuilders:
     def test_single_link(self, sim):
