@@ -58,6 +58,9 @@ if os.environ.get("REPRO_CACHE_DIR"):
 
 _code_fingerprint_cached: Optional[str] = None
 
+#: Field names a disk entry must carry to rebuild a :class:`ScenarioResult`.
+_RESULT_FIELDS = tuple(f.name for f in fields(ScenarioResult))
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -82,6 +85,10 @@ def get_cache_dir() -> Optional[str]:
 # keys
 # ---------------------------------------------------------------------------
 
+#: Exact types :func:`_canonical` passes through unchanged.
+_LEAF = frozenset({str, int, float, bool, type(None)})
+
+
 def _canonical(value: Any) -> Any:
     """JSON-ready canonical form of configs/specs for key material.
 
@@ -89,7 +96,13 @@ def _canonical(value: Any) -> Any:
     ``[ClassName, value]`` pairs, tuples become lists.  The form must be
     stable across processes and Python hash seeds — no ``hash()``, no
     set/dict iteration order (dicts are sorted).
+
+    Leaves outnumber containers four to one in a ``(config, design)``
+    pair, so the exact leaf types are tested first; ``type(...) in`` (not
+    ``isinstance``) keeps a ``str``-mixin Enum on the enum branch.
     """
+    if type(value) in _LEAF:
+        return value
     if is_dataclass(value) and not isinstance(value, type):
         out: Dict[str, Any] = {"__dataclass__": type(value).__name__}
         for f in fields(value):
@@ -247,7 +260,7 @@ def _disk_load(config: ScenarioConfig, design: ControllerSpec) -> Optional[Scena
         if payload["schema"] != SCHEMA_VERSION:
             raise ValueError(f"schema {payload['schema']!r}")
         raw = payload["result"]
-        return ScenarioResult(**{f.name: raw[f.name] for f in fields(ScenarioResult)})
+        return ScenarioResult(**{name: raw[name] for name in _RESULT_FIELDS})
     except FileNotFoundError:
         return None
     except (OSError, ValueError, KeyError, TypeError):

@@ -185,10 +185,10 @@ def set_task_timeout(seconds: Optional[float]) -> None:
 def set_profile(enabled: bool) -> None:
     """Turn per-callback wall-time profiling of sweep runs on or off.
 
-    The CLI's ``--profile`` flag calls this.  Profiling swaps the engine
-    onto a clock-sampling dispatch loop (see
-    :meth:`repro.sim.engine.Simulator.enable_profiling`), so fresh runs
-    get slower; cached results are unaffected (and carry no profile).
+    The CLI's ``--profile`` flag calls this.  Profiling makes the
+    engine's dispatch loop read an injected clock around every callback
+    (see :meth:`repro.sim.engine.Simulator.enable_profiling`), so fresh
+    runs get slower; cached results are unaffected (and carry no profile).
     Set it *before* a sweep starts so forked workers inherit it.
     """
     global _profile_enabled
@@ -221,7 +221,9 @@ def set_task_hook(hook: Optional[Callable[[RunTask], None]]) -> None:
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Effective worker count: argument > set_jobs() > $REPRO_JOBS > 1.
 
-    ``0`` at any level resolves to the machine's CPU count.
+    ``0`` at any level resolves to the number of CPUs this process may
+    run on — its affinity mask where the platform has one (``taskset``,
+    ``docker --cpuset-cpus``, a pinned CI runner), else the host's count.
     """
     if jobs is None:
         jobs = _configured_jobs
@@ -234,7 +236,10 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs < 0:
         raise ConfigurationError(f"jobs must be >= 0, got {jobs!r}")
     if jobs == 0:
-        jobs = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            jobs = len(os.sched_getaffinity(0))
+        else:
+            jobs = os.cpu_count() or 1
     return jobs
 
 

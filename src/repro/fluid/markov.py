@@ -12,8 +12,6 @@ from typing import Callable, Dict, Generic, Hashable, Iterable, List, Tuple, Typ
 
 import numpy as np
 import numpy.typing as npt
-from scipy.sparse import lil_matrix
-from scipy.sparse.linalg import spsolve
 
 from repro.errors import ModelError
 
@@ -80,14 +78,25 @@ class MarkovChain(Generic[S]):
         n = len(self.states)
         if n == 1:
             return np.ones(1, dtype=np.float64)
-        q = lil_matrix((n, n))
-        for i, j, rate in self._edges:
-            q[i, j] += rate
-            q[i, i] -= rate
-        # Solve pi Q = 0, sum(pi) = 1: replace one balance equation with the
-        # normalization condition.
-        a = q.transpose().tolil()
-        a[n - 1, :] = 1.0
+        # The one place scipy is needed, so the one place it is imported:
+        # the simulation run path stays stdlib + numpy (DESIGN.md §11).
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.linalg import spsolve
+
+        # Solve pi Q = 0, sum(pi) = 1 as A x = b with A = Q^T built from
+        # (row, col, value) triplets: edge i -> j at rate r adds r to
+        # A[j, i] and -r to A[i, i]; COO sums the duplicates.  The last
+        # balance equation is replaced with the normalization condition.
+        i, j, r = zip(*self._edges)
+        src, dst, rate = np.array(i), np.array(j), np.array(r, dtype=np.float64)
+        rows = np.concatenate([dst, src])
+        cols = np.concatenate([src, src])
+        vals = np.concatenate([rate, -rate])
+        keep = rows != n - 1
+        rows = np.append(rows[keep], np.full(n, n - 1))
+        cols = np.append(cols[keep], np.arange(n))
+        vals = np.append(vals[keep], np.ones(n))
+        a = coo_matrix((vals, (rows, cols)), shape=(n, n))
         b = np.zeros(n)
         b[n - 1] = 1.0
         raw = spsolve(a.tocsr(), b)

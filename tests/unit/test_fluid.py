@@ -39,6 +39,31 @@ class TestMarkovChain:
         for n in range(5):
             assert dist[n] == pytest.approx((1 - rho) * rho**n, rel=1e-6)
 
+    def test_triplet_build_matches_dense_solve(self):
+        """The sparse system assembled from edge triplets is the textbook
+        one: Q^T with its last row replaced by ones, solved densely."""
+        lam, mu, cap = 0.7, 1.0, 20
+
+        def transitions(n):
+            if n < cap:
+                yield n + 1, lam
+            if n > 0:
+                yield n - 1, mu
+
+        chain = MarkovChain(0, transitions)
+        size = len(chain.states)
+        q = np.zeros((size, size))
+        for state in chain.states:
+            for nxt, rate in transitions(state):
+                q[chain.index[state], chain.index[nxt]] += rate
+                q[chain.index[state], chain.index[state]] -= rate
+        a = q.T.copy()
+        a[-1, :] = 1.0
+        b = np.zeros(size)
+        b[-1] = 1.0
+        dense = np.linalg.solve(a, b)
+        assert np.abs(chain.stationary_distribution() - dense).max() < 1e-12
+
     def test_expectation(self):
         def transitions(n):
             if n == 0:

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,9 @@ from repro.errors import ConfigurationError
 from repro.experiments import cache, parallel
 from repro.experiments.lossload import CurveSpec, sweep_loss_load_curves
 from repro.experiments.report import format_curves
-from repro.experiments.runner import ScenarioConfig
+from repro.experiments.runner import MbacConfig, ScenarioConfig
+from repro.experiments.scenarios import get_scenario
+from repro.faults.model import FaultConfig
 from repro.units import mbps
 
 FAST = dict(duration=60.0, warmup=20.0, lifetime_mean=20.0,
@@ -61,6 +64,25 @@ class TestRunKey:
             cache.run_key(fast_config(1), None),
         }
         assert len(keys) == 4
+
+    def test_key_bytes_pinned(self, monkeypatch):
+        """Three literals computed before ``_canonical`` went leaves-first,
+        with the code fingerprint held constant: the canonical form — and
+        so every key of every existing cache directory — did not move."""
+        monkeypatch.setattr(cache, "code_fingerprint", lambda: "pinned")
+        config = get_scenario("basic").config(scale=0.002, seed=1)
+        flaky = replace(
+            config, faults=FaultConfig(flap_every=30.0, start=config.warmup)
+        )
+        assert [
+            cache.run_key(config, DESIGN),
+            cache.run_key(config, MbacConfig(0.9)),
+            cache.run_key(flaky, DESIGN),
+        ] == [
+            "0c91923a90983a6c192542a8c8adb1cd1a9deaec943560ac61efcdf070308e23",
+            "2b165b0a3fcf61f10a9073e04a30ffa0ff392e472468ab165290bb1f59424ffc",
+            "abc4098dd15eb7ac062e51a8a80addf19fe20f2ab88c09633b156e3135bf4ca0",
+        ]
 
     def test_stable_across_processes(self):
         """The disk tier only works if a fresh interpreter derives the
@@ -190,7 +212,12 @@ class TestResolveJobs:
         monkeypatch.setenv("REPRO_JOBS", "5")
         assert parallel.resolve_jobs() == 5
 
-    def test_zero_means_cpu_count(self):
+    def test_zero_means_cpu_count(self, monkeypatch):
+        """0 is the CPUs this process may use (its affinity mask), not the
+        host's count; platforms without a mask fall back to ``cpu_count``."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parallel.resolve_jobs(0) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
         assert parallel.resolve_jobs(0) == (os.cpu_count() or 1)
 
     def test_rejects_negative(self):
