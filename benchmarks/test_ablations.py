@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.design import CongestionSignal, EndpointDesign, ProbeBand, ProbingScheme
-from repro.experiments.cache import cached_run
+from repro.experiments.parallel import run_many
 from repro.experiments.report import format_table
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.ablations import stolen_bandwidth_demo as run_two_groups
@@ -55,9 +55,8 @@ def test_ablation_red_vs_droptail(benchmark, report):
                           ProbingScheme.SLOW_START, epsilon=0.01)
 
     def run_both():
-        droptail = cached_run(config, base)
-        red = cached_run(config, replace(base, queue_discipline="red"))
-        return droptail, red
+        return run_many([(config, base),
+                         (config, replace(base, queue_discipline="red"))])
 
     droptail, red = benchmark.pedantic(run_both, rounds=1, iterations=1)
     text = format_table(
@@ -84,8 +83,8 @@ def test_ablation_vq_fraction(benchmark, report):
     fractions = (0.8, 0.9, 0.99)
 
     def run_sweep():
-        return [cached_run(config, replace(base, vq_fraction=f))
-                for f in fractions]
+        return run_many([(config, replace(base, vq_fraction=f))
+                         for f in fractions])
 
     results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     rows = [(f, r.utilization, r.loss_probability, r.blocking_probability)
@@ -107,9 +106,8 @@ def test_ablation_early_abort(benchmark, report):
                           ProbingScheme.SIMPLE, epsilon=0.01)
 
     def run_both():
-        on = cached_run(config, base)
-        off = cached_run(config, replace(base, early_abort=False))
-        return on, off
+        return run_many([(config, base),
+                         (config, replace(base, early_abort=False))])
 
     on, off = benchmark.pedantic(run_both, rounds=1, iterations=1)
     rows = [
@@ -144,12 +142,12 @@ def test_ablation_probe_shape(benchmark, report):
     base = EndpointDesign(CongestionSignal.DROP, ProbeBand.IN_BAND,
                           ProbingScheme.SLOW_START, epsilon=0.01)
 
+    shapes = (ProbeShape.SMOOTH, ProbeShape.BURSTY, ProbeShape.EFFECTIVE_RATE)
+
     def run_all():
-        return {
-            shape: cached_run(config, replace(base, probe_shape=shape))
-            for shape in (ProbeShape.SMOOTH, ProbeShape.BURSTY,
-                          ProbeShape.EFFECTIVE_RATE)
-        }
+        runs = run_many([(config, replace(base, probe_shape=shape))
+                         for shape in shapes])
+        return dict(zip(shapes, runs))
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     rows = [

@@ -1,7 +1,8 @@
 """Benchmarks: Figure 8(a-f) — robustness across source models.
 
-One benchmark per panel so timings are attributable; the run cache shares
-the MBAC reference and fixed-epsilon points with Figure 9 and Table 4.
+One benchmark per panel so timings are attributable; the session's disk
+cache shares the MBAC reference and fixed-epsilon points with Figure 9 and
+Table 4.
 """
 
 import pytest

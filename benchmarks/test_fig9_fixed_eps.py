@@ -1,7 +1,7 @@
 """Benchmark: Figure 9 — loss variation across scenarios at a fixed epsilon.
 
 Almost free when run after the Figure 2/4-8 benchmarks: every point is
-served from the in-process run cache.
+served from the session's disk cache (``results/cache`` by default).
 """
 
 from repro.experiments.figures import figure9

@@ -123,7 +123,7 @@ def test_datapath_packet_throughput(benchmark):
 def test_parallel_sweep_speedup(benchmark, report):
     """Serial vs process-pool fan-out of four independent scenario runs.
 
-    Both cache tiers are disabled around the measured sections so every
+    The result cache is disabled around the measured sections so every
     run is actually simulated.  The parallel results must equal the
     serial ones exactly (the runner orders by task, not completion); the
     >= 2x speedup assertion applies only on runners with >= 4 CPUs —
@@ -144,13 +144,11 @@ def test_parallel_sweep_speedup(benchmark, report):
     saved_dir = cache.get_cache_dir()
     cache.set_cache_dir(None)
     try:
-        cache.clear_cache(disk=False)
         start = time.perf_counter()
         expected = parallel.run_many(tasks, jobs=1)
         serial_seconds = time.perf_counter() - start
 
         def fanned_out():
-            cache.clear_cache(disk=False)
             return parallel.run_many(tasks, jobs=4)
 
         results = benchmark.pedantic(fanned_out, rounds=3, iterations=1)

@@ -68,11 +68,13 @@ def as_json(result):
 
 
 def main() -> int:
+    # Both sweeps must simulate every task, so no cache (not even an
+    # exported REPRO_CACHE_DIR) may serve or keep a run.
+    cache.set_cache_dir(None)
     print("serial reference sweep (jobs=1)...")
     serial = [as_json(r) for r in parallel.run_many(tasks(), jobs=1)]
     assert all(json.loads(r)["fault_events"] > 0 for r in serial), \
         "fault injection did not fire"
-    cache.clear_cache()
 
     print("parallel sweep with injected worker crash (jobs=2)...")
     events = []

@@ -1,7 +1,6 @@
 """Experiment harness: scenarios, runners, caching, parallel sweeps, figures, CLI."""
 
 from repro.experiments.cache import (
-    cached_run,
     clear_cache,
     get_cache_dir,
     set_cache_dir,
@@ -45,7 +44,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "ScenarioSpec",
-    "cached_run",
     "clear_cache",
     "default_scale",
     "get_cache_dir",

@@ -1,26 +1,20 @@
-"""Two-tier memoization of scenario runs (in-process memo + disk cache).
+"""On-disk cache of finished scenario runs.
 
 Several of the paper's figures reuse the same (scenario, design, seed)
 points — Figure 9 re-reports fixed-epsilon points of Figure 8, Figures 4–7
-share their MBAC reference, and so on.  Simulations are expensive, so the
-benchmark harness funnels every run through this cache.  Two tiers:
+share their MBAC reference, and so on.  Simulations are expensive, so every
+sweep consults this cache: a content-addressed store of JSON files, one per
+run, under a cache directory (``results/cache/`` by convention).  Keys are
+a SHA-256 over the canonically serialized config + controller spec + a
+fingerprint of the sources a run can execute, so a code change invalidates
+every entry and a stale cache can never contaminate a new result.  Reads
+are corruption-tolerant: an unreadable or truncated file is evicted and the
+run recomputed, never crashed on.
 
-* **memo** — an in-process dict keyed on the hashable ``(config, design)``
-  pair; within one pytest session each distinct point is simulated exactly
-  once and shared by identity.
-* **disk** — an optional content-addressed store of JSON files, one per
-  run, under a cache directory (``results/cache/`` by convention).  Keys
-  are a SHA-256 over the canonically serialized config + controller spec +
-  a fingerprint of the ``repro`` package sources, so *any* code change
-  invalidates every entry and a stale cache can never contaminate a new
-  result.  Reads are corruption-tolerant: an unreadable or truncated file
-  is evicted and the run recomputed, never crashed on.
-
-The disk tier is off unless a directory is configured — via
-``set_cache_dir`` (the CLI's ``--cache-dir``/``--no-cache`` flags call
-it), or the ``REPRO_CACHE_DIR`` environment variable.  Keys require
-hashable configs: :class:`ScenarioConfig` freezes its class list to a
-tuple, and designs are frozen dataclasses already.
+The cache is off unless a directory is configured — via ``set_cache_dir``
+(the CLI's ``--cache-dir``/``--no-cache`` flags call it), or the
+``REPRO_CACHE_DIR`` environment variable.  With it off a finished run is
+kept nowhere: the process holds a result only while its caller does.
 
 See DESIGN.md §9 for the determinism argument and the invalidation rules.
 """
@@ -41,7 +35,6 @@ from repro.experiments.runner import (
     ControllerSpec,
     ScenarioConfig,
     ScenarioResult,
-    run_scenario,
 )
 
 #: Bump when the on-disk payload layout changes; old entries are evicted.
@@ -49,9 +42,7 @@ from repro.experiments.runner import (
 #: envelope moved to v2 (recorder field).
 SCHEMA_VERSION = 4
 
-_MEMO: Dict[Tuple[ScenarioConfig, ControllerSpec], ScenarioResult] = {}
-
-#: Disk-tier directory; ``None`` disables the tier entirely.
+#: Cache directory; ``None`` disables the cache entirely.
 _disk_dir: Optional[Path] = None
 if os.environ.get("REPRO_CACHE_DIR"):
     _disk_dir = Path(os.environ["REPRO_CACHE_DIR"])
@@ -67,17 +58,16 @@ _RESULT_FIELDS = tuple(f.name for f in fields(ScenarioResult))
 # ---------------------------------------------------------------------------
 
 def set_cache_dir(path: Optional[str]) -> None:
-    """Point the disk tier at ``path``, or disable it with ``None``.
+    """Point the cache at ``path``, or disable it with ``None``.
 
-    The directory is created lazily on the first store.  Switching
-    directories does not touch the in-process memo.
+    The directory is created lazily on the first store.
     """
     global _disk_dir
     _disk_dir = None if path is None else Path(path)
 
 
 def get_cache_dir() -> Optional[str]:
-    """The disk tier's directory, or ``None`` when the tier is disabled."""
+    """The cache directory, or ``None`` when the cache is disabled."""
     return None if _disk_dir is None else str(_disk_dir)
 
 
@@ -216,7 +206,7 @@ def code_fingerprint() -> str:
 
 
 def run_key(config: ScenarioConfig, design: ControllerSpec = None) -> str:
-    """Stable content hash identifying one run in the disk tier.
+    """Stable content hash identifying one run in the cache.
 
     Covers the full scenario config (seed included), the controller spec,
     the payload schema version, and the package code fingerprint.  Stable
@@ -232,51 +222,52 @@ def run_key(config: ScenarioConfig, design: ControllerSpec = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# disk tier
+# public cache API
 # ---------------------------------------------------------------------------
 
 def _disk_path(config: ScenarioConfig, design: ControllerSpec) -> Optional[Path]:
-    """Entry file of one run (``<run_key>.json``); ``None`` with the tier off.
+    """Entry file of one run (``<run_key>.json``); ``None`` with the cache off.
 
-    The tier is tested first: the key needs the code fingerprint, an AST
-    walk over the source tree that a run without a disk cache never needs.
+    The directory is tested first: the key needs the code fingerprint, an
+    AST walk over the source tree that a run without a cache never needs.
     """
     if _disk_dir is None:
         return None
     return _disk_dir / f"{run_key(config, design)}.json"
 
 
-def _disk_load(config: ScenarioConfig, design: ControllerSpec) -> Optional[ScenarioResult]:
-    """Read one result from the disk tier; evict anything unreadable.
+def lookup(config: ScenarioConfig, design: ControllerSpec = None) -> Tuple[Optional[ScenarioResult], str]:
+    """Fetch a run: ``(result, "disk")`` on a hit, ``(None, "miss")`` else.
 
-    A corrupt, truncated, or schema-mismatched file is deleted and ``None``
-    returned — a bad cache entry costs one recomputation, never a crash.
+    Always a miss with the cache off.  A corrupt, truncated, or
+    schema-mismatched file is deleted and reported as a miss — a bad cache
+    entry costs one recomputation, never a crash.
     """
     path = _disk_path(config, design)
     if path is None:
-        return None
+        return None, "miss"
     try:
         payload = json.loads(path.read_text())
         if payload["schema"] != SCHEMA_VERSION:
             raise ValueError(f"schema {payload['schema']!r}")
         raw = payload["result"]
-        return ScenarioResult(**{name: raw[name] for name in _RESULT_FIELDS})
+        return ScenarioResult(**{name: raw[name] for name in _RESULT_FIELDS}), "disk"
     except FileNotFoundError:
-        return None
+        return None, "miss"
     except (OSError, ValueError, KeyError, TypeError):
         try:
             path.unlink()
         except OSError:
             pass
-        return None
+        return None, "miss"
 
 
-def _disk_store(config: ScenarioConfig, design: ControllerSpec, result: ScenarioResult) -> None:
-    """Write one result atomically (temp file + rename) to the disk tier.
+def store(config: ScenarioConfig, design: ControllerSpec, result: ScenarioResult) -> None:
+    """Write one result atomically (temp file + rename); no-op with the cache off.
 
     Atomicity means a concurrent reader — another worker of a parallel
     sweep, or a second pytest session — sees either the complete entry or
-    none; the corruption-tolerant reader handles everything else.
+    none; the corruption-tolerant :func:`lookup` handles everything else.
     """
     path = _disk_path(config, design)
     if path is None:
@@ -296,58 +287,15 @@ def _disk_store(config: ScenarioConfig, design: ControllerSpec, result: Scenario
         pass
 
 
-# ---------------------------------------------------------------------------
-# public cache API
-# ---------------------------------------------------------------------------
-
-def lookup(config: ScenarioConfig, design: ControllerSpec = None) -> Tuple[Optional[ScenarioResult], str]:
-    """Fetch a run through both tiers.
-
-    Returns ``(result, tier)`` where ``tier`` is ``"memo"``, ``"disk"``,
-    or ``"miss"`` (with ``result = None``).  A disk hit is promoted into
-    the memo so later lookups in this process are identity-shared.
-    """
-    key = (config, design)
-    result = _MEMO.get(key)
-    if result is not None:
-        return result, "memo"
-    result = _disk_load(config, design)
-    if result is not None:
-        _MEMO[key] = result
-        return result, "disk"
-    return None, "miss"
-
-
-def store(config: ScenarioConfig, design: ControllerSpec, result: ScenarioResult) -> None:
-    """Record a computed run in the memo and (when enabled) on disk."""
-    _MEMO[(config, design)] = result
-    _disk_store(config, design, result)
-
-
-def cached_run(config: ScenarioConfig, design: ControllerSpec = None) -> ScenarioResult:
-    """Like :func:`run_scenario`, memoized on (config, design) in both tiers."""
-    result, _ = lookup(config, design)
-    if result is None:
-        result = run_scenario(config, design)
-        store(config, design, result)
-    return result
-
-
-def cache_size() -> int:
-    """Number of memo-tier entries in this process (for tests)."""
-    return len(_MEMO)
-
-
 def disk_cache_size() -> int:
-    """Number of entries in the disk tier (0 when disabled)."""
+    """Number of entries in the cache directory (0 when disabled)."""
     if _disk_dir is None or not _disk_dir.is_dir():
         return 0
     return sum(1 for _ in _disk_dir.glob("*.json"))
 
 
 def clear_cache(disk: bool = True) -> None:
-    """Drop all memoized runs; with ``disk=True`` also empty the disk tier."""
-    _MEMO.clear()
+    """Empty the cache directory; ``disk=False`` is accepted and does nothing."""
     if disk and _disk_dir is not None and _disk_dir.is_dir():
         for path in _disk_dir.glob("*.json"):
             try:

@@ -12,7 +12,7 @@ index (figure1..figure9, figure11, table3..table6) and prints the
 regenerated rows/series.  ``run`` and ``figure`` share the execution
 flags ``--jobs N`` (worker processes; 0 = one per CPU), ``--cache-dir``
 (the persistent result cache, default ``results/cache``), ``--no-cache``
-(disable the disk tier), ``--task-timeout``, ``--profile``
+(no result cache at all), ``--task-timeout``, ``--profile``
 (per-callback wall-time summary) and ``--obs-dir DIR`` (per-run obs
 artifacts plus a canonical manifest); ``run`` additionally takes
 ``--trace PATH`` / ``--metrics PATH`` / ``--timeseries PATH`` /
@@ -107,7 +107,7 @@ def _apply_execution_options(args: argparse.Namespace) -> parallel.ProgressTrack
     parallel.set_profile(bool(getattr(args, "profile", False)))
     parallel.set_obs_dir(getattr(args, "obs_dir", None))
     cache.set_cache_dir(None if args.no_cache else args.cache_dir)
-    tracker = parallel.stderr_tracker()
+    tracker = parallel.ProgressTracker(stream=sys.stderr)
     parallel.set_progress(tracker)
     return tracker
 
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistent result cache directory "
                             f"(default {DEFAULT_CACHE_DIR})")
         p.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk result cache")
+                       help="keep no result cache (every run is simulated)")
         p.add_argument("--task-timeout", type=float, default=None,
                        help="no-progress deadline (seconds) before a "
                             "parallel sweep presumes hung workers and "

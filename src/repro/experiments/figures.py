@@ -3,9 +3,10 @@
 Every public function regenerates one artifact of the paper's evaluation
 section and returns a :class:`FigureResult` whose ``data`` holds the raw
 series and whose ``text`` holds the same rows/series rendered for a
-terminal.  All scenario runs are funneled through the in-process run cache,
-so figures that share points (e.g. Figure 9 re-reporting Figure 8's
-fixed-epsilon points) do not re-simulate them.
+terminal.  All scenario runs go through the sweep runner, so with a cache
+directory configured (the CLI's default ``results/cache``) figures that
+share points (e.g. Figure 9 re-reporting Figure 8's fixed-epsilon points)
+read them from disk instead of re-simulating them.
 
 Scale: at ``scale=1.0`` every run matches the paper's setup (14,000 s,
 2,000 s warm-up, 7 seeds, full epsilon sweeps).  Smaller scales shrink the

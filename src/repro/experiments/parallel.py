@@ -13,9 +13,9 @@ while preserving bit-for-bit determinism:
   process computes exactly the bytes the serial path would;
 * results are keyed and yielded in **task order**, never completion
   order, so aggregation sees the same sequence regardless of scheduling;
-* both cache tiers (:mod:`repro.experiments.cache`) are consulted before
-  any process is spawned and filled as results arrive, so a parallel
-  sweep and a serial sweep leave identical cache contents.
+* the disk cache (:mod:`repro.experiments.cache`), when configured, is
+  consulted before any process is spawned and filled as results arrive,
+  so a parallel sweep and a serial sweep leave identical cache contents.
 
 The harness is crash-tolerant (DESIGN.md §10): a worker process dying
 (OOM kill, segfault, ``os._exit``) breaks the pool, but never the sweep —
@@ -43,7 +43,6 @@ process-wide :func:`set_jobs` value (the CLI's ``--jobs`` flag), the
 from __future__ import annotations
 
 import os
-import sys
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -98,8 +97,8 @@ RunTask = Tuple[ScenarioConfig, ControllerSpec]
 class RunEvent:
     """Progress record for one observed event of a sweep.
 
-    ``source`` is ``"run"`` for a fresh simulation, ``"memo"``/``"disk"``
-    for a cache hit, ``"failed"`` for a task that raised deterministically
+    ``source`` is ``"run"`` for a fresh simulation, ``"disk"`` for a
+    cache hit, ``"failed"`` for a task that raised deterministically
     (the sweep aborts right after emitting it), and ``"retry"`` for a task
     being resubmitted after a worker crash or stall.  ``seconds`` is the
     wall-clock compute time (0 for everything but ``"run"``); ``error``
@@ -294,8 +293,8 @@ def _task_error(
     """A ``"failed"`` event plus the :class:`SweepTaskError` to raise.
 
     The error message carries the task's cache ``run_key`` so the failing
-    run can be reproduced in isolation (``cached_run`` on the same config
-    recomputes exactly this task).
+    run can be reproduced in isolation (``run_many`` on the same task
+    alone recomputes exactly this run).
     """
     _emit(progress, index, total, task, 0.0, "failed", error=repr(exc))
     key = cache.run_key(task[0], task[1])
@@ -311,8 +310,6 @@ def iter_run_results(
     tasks: Iterable[RunTask],
     jobs: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    task_timeout: Optional[float] = None,
-    task_retries: Optional[int] = None,
 ) -> Iterator[ScenarioResult]:
     """Yield one :class:`ScenarioResult` per task, in task order.
 
@@ -324,16 +321,16 @@ def iter_run_results(
     ingredient of a pool) never reaches a result stream.
 
     Cache misses are fanned out over ``resolve_jobs(jobs)`` worker
-    processes when there is more than one of them; results are stored
-    into both cache tiers as they complete (a killed sweep keeps its
-    finished work and resumes from the disk tier).  Consumed lazily, the
-    serial path holds one uncached result at a time.
+    processes when there is more than one of them; results are stored in
+    the disk cache (when one is configured) as they complete, so a killed
+    sweep keeps its finished work and resumes from it.  Nothing else keeps
+    a yielded result: consumed lazily, the serial path holds one result
+    at a time.
 
-    ``task_timeout`` is a no-progress deadline for the parallel path (see
-    :func:`set_task_timeout`); ``task_retries`` bounds per-task
-    resubmissions after crashes/stalls (default
-    :data:`DEFAULT_TASK_RETRIES`).  A task that *raises* is never
-    retried — that failure is deterministic, and the sweep aborts with a
+    The parallel path's no-progress deadline is :func:`set_task_timeout`'s;
+    each task may be resubmitted :data:`DEFAULT_TASK_RETRIES` times after
+    crashes/stalls.  A task that *raises* is never retried — that failure
+    is deterministic, and the sweep aborts with a
     :class:`~repro.errors.SweepTaskError` naming the task's ``run_key``.
 
     With :func:`set_obs_dir` configured, each run's observability
@@ -342,10 +339,7 @@ def iter_run_results(
     consumed — byte-identical between serial and parallel sweeps.
     """
     task_list = list(tasks)
-    results = _iter_task_results(
-        task_list, jobs=jobs, progress=progress,
-        task_timeout=task_timeout, task_retries=task_retries,
-    )
+    results = _iter_task_results(task_list, jobs=jobs, progress=progress)
     obs_dir = _configured_obs_dir
     if obs_dir is None:
         yield from results
@@ -360,6 +354,7 @@ def iter_run_results(
                 timeseries=result.timeseries,
             )
         yield result
+        del result  # not held while the next run computes
     writer.write_manifest()
 
 
@@ -367,64 +362,45 @@ def _iter_task_results(
     task_list: List[RunTask],
     jobs: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    task_timeout: Optional[float] = None,
-    task_retries: Optional[int] = None,
 ) -> Iterator[ScenarioResult]:
     """The cache/pool machinery behind :func:`iter_run_results`."""
     total = len(task_list)
     if progress is None:
         progress = _progress_hook
-    if task_timeout is None:
-        task_timeout = _configured_task_timeout
-    if task_retries is None:
-        task_retries = DEFAULT_TASK_RETRIES
     ready: Dict[int, ScenarioResult] = {}
     misses: List[int] = []
     for i, task in enumerate(task_list):
-        hit, tier = cache.lookup(task[0], task[1])
+        hit, source = cache.lookup(task[0], task[1])
         if hit is None:
             misses.append(i)
         else:
             ready[i] = hit
-            _emit(progress, i, total, task, 0.0, tier)
+            _emit(progress, i, total, task, 0.0, source)
 
     workers = min(resolve_jobs(jobs), len(misses))
     if workers > 1:
-        yield from _pool_results(
-            task_list, misses, ready, workers, progress,
-            task_timeout, task_retries,
-        )
+        yield from _pool_results(task_list, misses, ready, workers, progress)
         return
     for i in range(total):
         result = ready.pop(i, None)
         if result is None:
-            task = task_list[i]
-            try:
-                result, seconds, rows = _compute(task)
-            except Exception as exc:
-                raise _task_error(progress, i, total, task, exc) from exc
-            cache.store(task[0], task[1], result)
-            _emit(progress, i, total, task, seconds, "run", profile=rows)
+            result = _run_here(task_list, i, progress)
         yield result
 
 
-def _serial_fill(
-    task_list: List[RunTask],
-    indices: Sequence[int],
-    ready: Dict[int, ScenarioResult],
-    progress: Optional[ProgressCallback],
-    total: int,
-) -> None:
-    """Compute ``indices`` in the parent process (no-pool fallback)."""
-    for i in indices:
-        task = task_list[i]
-        try:
-            result, seconds, rows = _compute(task)
-        except Exception as exc:
-            raise _task_error(progress, i, total, task, exc) from exc
-        cache.store(task[0], task[1], result)
-        _emit(progress, i, total, task, seconds, "run", profile=rows)
-        ready[i] = result
+def _run_here(
+    task_list: List[RunTask], i: int, progress: Optional[ProgressCallback],
+) -> ScenarioResult:
+    """Compute task ``i`` in this process, store it and emit its event."""
+    task = task_list[i]
+    total = len(task_list)
+    try:
+        result, seconds, rows = _compute(task)
+    except Exception as exc:
+        raise _task_error(progress, i, total, task, exc) from exc
+    cache.store(task[0], task[1], result)
+    _emit(progress, i, total, task, seconds, "run", profile=rows)
+    return result
 
 
 def _new_pool(workers: int) -> Optional[ProcessPoolExecutor]:
@@ -441,8 +417,6 @@ def _pool_results(
     ready: Dict[int, ScenarioResult],
     workers: int,
     progress: Optional[ProgressCallback],
-    task_timeout: Optional[float],
-    task_retries: int,
 ) -> Iterator[ScenarioResult]:
     """Fan the missing indices out over a process pool; yield in task order.
 
@@ -456,19 +430,22 @@ def _pool_results(
     pool is discarded, and only the still-outstanding indices are
     resubmitted to a fresh pool after a capped exponential backoff.  Each
     resubmission round charges one attempt to every outstanding task; a
-    task over ``task_retries`` attempts aborts the sweep with
-    :class:`SweepWorkerError`.  A ``task_timeout`` with no completion is
-    treated the same way (hung workers), except the stalled pool is
-    abandoned without waiting for it.
+    task over :data:`DEFAULT_TASK_RETRIES` attempts aborts the sweep with
+    :class:`SweepWorkerError`.  A :func:`set_task_timeout` deadline with
+    no completion is treated the same way (hung workers), except the
+    stalled pool is abandoned without waiting for it.
     """
     total = len(task_list)
+    task_timeout = _configured_task_timeout
+    task_retries = DEFAULT_TASK_RETRIES
     outstanding = sorted(misses)
     attempts = dict.fromkeys(outstanding, 0)
     next_index = 0
     pool = _new_pool(workers)
     if pool is None:
         # No usable process support (restricted sandbox): degrade to serial.
-        _serial_fill(task_list, outstanding, ready, progress, total)
+        for i in outstanding:
+            ready[i] = _run_here(task_list, i, progress)
         outstanding = []
     try:
         while outstanding:
@@ -526,7 +503,8 @@ def _pool_results(
             time.sleep(min(_RETRY_BACKOFF * 2.0 ** (worst - 1), _RETRY_BACKOFF_CAP))
             pool = _new_pool(workers)
             if pool is None:
-                _serial_fill(task_list, outstanding, ready, progress, total)
+                for i in outstanding:
+                    ready[i] = _run_here(task_list, i, progress)
                 break
     finally:
         if pool is not None:
@@ -540,14 +518,9 @@ def run_many(
     tasks: Iterable[RunTask],
     jobs: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    task_timeout: Optional[float] = None,
-    task_retries: Optional[int] = None,
 ) -> List[ScenarioResult]:
     """Materialized form of :func:`iter_run_results` (task-ordered list)."""
-    return list(iter_run_results(
-        tasks, jobs=jobs, progress=progress,
-        task_timeout=task_timeout, task_retries=task_retries,
-    ))
+    return list(iter_run_results(tasks, jobs=jobs, progress=progress))
 
 
 def replicate_many(
@@ -588,7 +561,7 @@ class ProgressTracker:
     Install with ``parallel.set_progress(tracker)``; each finished run
     prints one :func:`~repro.experiments.report.format_progress` line to
     ``stream`` (``None`` keeps it silent), and :meth:`summary` renders the
-    totals — runs computed, hits per tier, compute vs. elapsed wall time.
+    totals — runs computed, disk hits, compute vs. elapsed wall time.
     Lives in this module so that every wall-clock read stays on the
     DET002-exempt path.
     """
@@ -596,7 +569,6 @@ class ProgressTracker:
     def __init__(self, stream: Optional[TextIO] = None) -> None:
         self.stream = stream
         self.computed = 0
-        self.memo_hits = 0
         self.disk_hits = 0
         self.failures = 0
         self.retries = 0
@@ -611,8 +583,6 @@ class ProgressTracker:
             self.run_seconds += event.seconds
             if event.profile:
                 merge_rows(self.profile, event.profile)
-        elif event.source == "memo":
-            self.memo_hits += 1
         elif event.source == "disk":
             self.disk_hits += 1
         elif event.source == "failed":
@@ -632,7 +602,6 @@ class ProgressTracker:
         """One-line totals for everything observed since construction."""
         line = format_sweep_summary(
             computed=self.computed,
-            memo_hits=self.memo_hits,
             disk_hits=self.disk_hits,
             run_seconds=self.run_seconds,
             elapsed_seconds=time.perf_counter() - self._started,
@@ -642,8 +611,3 @@ class ProgressTracker:
         if self.profile:
             line += f"\nprofile (top callbacks): {format_rows(self.profile)}"
         return line
-
-
-def stderr_tracker() -> ProgressTracker:
-    """A :class:`ProgressTracker` printing to stderr (the CLI default)."""
-    return ProgressTracker(stream=sys.stderr)

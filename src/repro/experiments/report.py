@@ -91,34 +91,33 @@ def format_progress(
     """One per-run progress line of a sweep.
 
     ``index`` is 0-based (rendered 1-based); ``source`` is ``"run"``,
-    ``"memo"``/``"disk"`` (cache hit), or ``"failed"``/``"retry"`` (sweep
-    fault events); ``seconds`` is the measured compute time (0 for
+    ``"disk"`` (cache hit), or ``"failed"``/``"retry"`` (sweep fault
+    events); ``seconds`` is the measured compute time (0 for
     everything but ``"run"``, whose line shows a duration).
     """
     width = len(str(total))
     prefix = f"[{index + 1:>{width}}/{total}]"
     if source == "run":
         return f"{prefix} {label}  {seconds:.2f}s"
-    if source in ("memo", "disk"):
-        return f"{prefix} {label}  ({source} hit)"
+    if source == "disk":
+        return f"{prefix} {label}  (disk hit)"
     return f"{prefix} {label}  ({source})"
 
 
 def format_sweep_summary(
     computed: int,
-    memo_hits: int,
     disk_hits: int,
     run_seconds: float,
     elapsed_seconds: float,
 ) -> str:
-    """Totals line printed after a sweep: runs, hits per tier, wall time.
+    """Totals line printed after a sweep: runs, disk hits, wall time.
 
     ``run_seconds`` is summed across workers, so with ``--jobs N`` it can
     exceed ``elapsed_seconds`` — the ratio is the achieved speedup.
     """
-    total = computed + memo_hits + disk_hits
+    total = computed + disk_hits
     return (
         f"{total} runs: {computed} simulated ({run_seconds:.2f}s cpu), "
-        f"{memo_hits} memo hits, {disk_hits} disk hits; "
+        f"{disk_hits} disk hits; "
         f"{elapsed_seconds:.2f}s elapsed"
     )

@@ -101,7 +101,7 @@ class ScenarioConfig:
                 f"unknown topology {self.topology!r}; use 'single' or 'parking-lot'"
             )
         if self.classes is not None and not isinstance(self.classes, tuple):
-            # Freeze so configs are hashable (the run cache keys on them).
+            # Freeze so a frozen config is really immutable (and hashable).
             object.__setattr__(self, "classes", tuple(self.classes))
 
     def resolve_classes(self) -> List[FlowClass]:
@@ -414,6 +414,7 @@ class ReplicatedResult:
                 for stat_key, value in stats.items():
                     if isinstance(value, (int, float)):
                         sums[stat_key] = sums.get(stat_key, 0.0) + value
+            del result  # not held while the next one is pulled
         if n == 0:
             raise ConfigurationError("need at least one seed")
         per_class_means = {

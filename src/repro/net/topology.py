@@ -115,21 +115,6 @@ class Network:
         self._route_cache[key] = hops
         return hops
 
-    # -- fault injection ---------------------------------------------------
-
-    def set_link_enabled(self, u: str, v: str, enabled: bool) -> None:
-        """Fail or restore the directed link ``u -> v`` (see OutputPort).
-
-        Routing is deliberately untouched: the paper's endpoints have no
-        routing protocol to fall back on, so traffic keeps being sent
-        into the blackhole until the endpoints' own deadlines fire.
-        """
-        self.port(u, v).set_enabled(enabled)
-
-    def degrade_link(self, u: str, v: str, factor: float) -> None:
-        """Scale the capacity of ``u -> v``; ``factor=1.0`` restores it."""
-        self.port(u, v).set_capacity_factor(factor)
-
 
 def single_link(
     sim: Simulator,

@@ -1,17 +1,5 @@
-"""Measurement helpers: time series and replication summaries."""
+"""Measurement helpers: periodic time-series sampling."""
 
 from repro.stats.series import PeriodicSampler
-from repro.stats.summary import (
-    DecisionRecord,
-    RunningStats,
-    decision_counts,
-    summarize,
-)
 
-__all__ = [
-    "DecisionRecord",
-    "PeriodicSampler",
-    "RunningStats",
-    "decision_counts",
-    "summarize",
-]
+__all__ = ["PeriodicSampler"]

@@ -1,11 +1,9 @@
-"""Property-based tests for token buckets, virtual queues, and stats."""
+"""Property-based tests for token buckets, virtual queues, and RNG streams."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.vq import VirtualQueue
-from repro.stats.summary import RunningStats
 from repro.traffic.token_bucket import TokenBucket
 
 arrival_streams = st.lists(
@@ -63,16 +61,6 @@ def test_virtual_queue_marks_monotone_in_rate_fraction(stream):
         fast.observe(size, now)
         slow.observe(size, now)
     assert slow.marks >= fast.marks
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-                min_size=2, max_size=500))
-def test_running_stats_matches_numpy(values):
-    stats = RunningStats()
-    stats.extend(values)
-    assert np.isclose(stats.mean, np.mean(values), rtol=1e-8, atol=1e-6)
-    assert np.isclose(stats.variance, np.var(values, ddof=1),
-                      rtol=1e-6, atol=1e-6)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

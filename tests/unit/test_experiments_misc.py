@@ -122,29 +122,29 @@ class TestLossLoad:
 
 
 class TestCache:
-    def test_cache_hits(self):
-        run_cache.clear_cache()
+    def test_cache_hits(self, tmp_path):
+        run_cache.set_cache_dir(tmp_path)
         config = ScenarioConfig(source="EXP1", interarrival=2.0, **FAST)
-        a = run_cache.cached_run(config, DESIGN)
-        size = run_cache.cache_size()
-        b = run_cache.cached_run(config, DESIGN)
-        assert a is b
-        assert run_cache.cache_size() == size
+        events = []
+        (a,) = parallel.run_many([(config, DESIGN)], progress=events.append)
+        (b,) = parallel.run_many([(config, DESIGN)], progress=events.append)
+        assert a == b
+        assert [e.source for e in events] == ["run", "disk"]
+        assert run_cache.disk_cache_size() == 1
 
-    def test_distinct_designs_distinct_entries(self):
-        run_cache.clear_cache()
+    def test_distinct_designs_distinct_entries(self, tmp_path):
+        run_cache.set_cache_dir(tmp_path)
         config = ScenarioConfig(source="EXP1", interarrival=2.0, **FAST)
-        run_cache.cached_run(config, DESIGN)
-        run_cache.cached_run(config, DESIGN.with_epsilon(0.05))
-        assert run_cache.cache_size() == 2
+        parallel.run_many([(config, DESIGN), (config, DESIGN.with_epsilon(0.05))])
+        assert run_cache.disk_cache_size() == 2
 
-    def test_cached_replications(self):
-        run_cache.clear_cache()
+    def test_cached_replications(self, tmp_path):
+        run_cache.set_cache_dir(tmp_path)
         config = ScenarioConfig(source="EXP1", interarrival=2.0, **FAST)
         (rep,) = parallel.replicate_many([(config, DESIGN)], seeds=(1, 2))
         assert rep.n_runs == 2
         assert rep.seeds == [1, 2]
-        assert run_cache.cache_size() == 2
+        assert run_cache.disk_cache_size() == 2
 
 
 class TestReport:

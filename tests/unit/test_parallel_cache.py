@@ -1,15 +1,17 @@
 """Unit tests for the persistent result cache and the parallel sweep runner.
 
-Covers the disk tier's contract (content-addressed keys stable across
-processes, corruption tolerance, two-tier ``clear_cache``) and the
-parallel runner's determinism contract (``jobs=4`` output byte-identical
-to serial, task-ordered progress events, streaming replication).
+Covers the disk cache's contract (content-addressed keys stable across
+processes, corruption tolerance, ``clear_cache``) and the parallel
+runner's determinism contract (``jobs=4`` output byte-identical to
+serial, task-ordered progress events, streaming replication).
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,16 +41,6 @@ DESIGN = EndpointDesign(CongestionSignal.DROP, ProbeBand.IN_BAND,
 
 def fast_config(seed: int = 1) -> ScenarioConfig:
     return ScenarioConfig(source="EXP1", interarrival=2.0, seed=seed, **FAST)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    """These tests reason about hit/miss tiers, so start each from empty."""
-    cache.set_cache_dir(None)
-    cache.clear_cache(disk=False)
-    yield
-    cache.set_cache_dir(None)
-    cache.clear_cache(disk=False)
 
 
 class TestRunKey:
@@ -115,8 +107,25 @@ class TestRunKey:
 class TestDiskCache:
     def test_disabled_without_directory(self):
         assert cache.get_cache_dir() is None
-        cache.cached_run(fast_config(), DESIGN)
+        parallel.run_many([(fast_config(), DESIGN)])
         assert cache.disk_cache_size() == 0
+
+    def test_suite_never_touches_the_callers_cache(self, tmp_path):
+        """An exported ``REPRO_CACHE_DIR`` is read when ``cache`` is
+        imported; the suite's autouse fixture must switch it off before
+        the first test sweeps, not only after it."""
+        user_cache = tmp_path / "user-cache"
+        user_cache.mkdir()
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, REPRO_CACHE_DIR=str(user_cache),
+                   PYTHONPATH=str(root / "src"))
+        subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "tests/unit/test_experiments_misc.py::TestLossLoad::"
+             "test_eac_curve_has_point_per_epsilon"],
+            cwd=root, env=env, capture_output=True, check=True,
+        )
+        assert list(user_cache.iterdir()) == []
 
     def test_disabled_tier_never_fingerprints(self, monkeypatch, tmp_path):
         """The key (and the AST-walking code fingerprint under it) is disk
@@ -129,7 +138,7 @@ class TestDiskCache:
         with monkeypatch.context() as patched:
             patched.setattr(cache, "code_fingerprint", fingerprint)
             assert cache.lookup(config, DESIGN) == (None, "miss")
-            result = cache.cached_run(config, DESIGN)
+            (result,) = parallel.run_many([(config, DESIGN)])
             cache.store(config, DESIGN, result)
         cache.set_cache_dir(tmp_path)
         cache.store(config, DESIGN, result)
@@ -140,19 +149,19 @@ class TestDiskCache:
     def test_miss_compute_then_disk_hit(self, tmp_path):
         cache.set_cache_dir(tmp_path)
         config = fast_config()
-        computed = cache.cached_run(config, DESIGN)
+        (computed,) = parallel.run_many([(config, DESIGN)])
         assert cache.disk_cache_size() == 1
-        cache.clear_cache(disk=False)  # drop the memo, keep the file
         loaded, tier = cache.lookup(config, DESIGN)
         assert tier == "disk"
         assert loaded == computed  # dataclass-equal after the JSON round trip
-        # The disk hit was promoted into the memo.
-        assert cache.lookup(config, DESIGN)[1] == "memo"
+        # Nothing is kept in the process: every lookup reads the file anew.
+        again, tier = cache.lookup(config, DESIGN)
+        assert tier == "disk" and again == loaded and again is not loaded
 
     def test_entry_bytes_depend_only_on_the_result(self, tmp_path):
         """No timestamp, pid or path inside: two stores, identical files."""
         config = fast_config()
-        result = cache.cached_run(config, DESIGN)
+        (result,) = parallel.run_many([(config, DESIGN)])
         entries = []
         for name in ("first", "second"):
             cache.set_cache_dir(tmp_path / name)
@@ -164,33 +173,29 @@ class TestDiskCache:
     def test_corrupt_file_recovered(self, tmp_path):
         cache.set_cache_dir(tmp_path)
         config = fast_config()
-        computed = cache.cached_run(config, DESIGN)
+        (computed,) = parallel.run_many([(config, DESIGN)])
         entry = next(Path(tmp_path).glob("*.json"))
         entry.write_text("{definitely not json")
-        cache.clear_cache(disk=False)
-        recomputed = cache.cached_run(config, DESIGN)
-        assert recomputed == computed
+        assert parallel.run_many([(config, DESIGN)]) == [computed]
         # The bad file was evicted and replaced with a valid one.
         assert json.loads(entry.read_text())["schema"] == cache.SCHEMA_VERSION
 
     def test_wrong_schema_discarded(self, tmp_path):
         cache.set_cache_dir(tmp_path)
         config = fast_config()
-        cache.cached_run(config, DESIGN)
+        parallel.run_many([(config, DESIGN)])
         entry = next(Path(tmp_path).glob("*.json"))
         payload = json.loads(entry.read_text())
         payload["schema"] = cache.SCHEMA_VERSION + 1
         entry.write_text(json.dumps(payload))
-        cache.clear_cache(disk=False)
         assert cache.lookup(config, DESIGN) == (None, "miss")
 
-    def test_clear_cache_clears_both_tiers(self, tmp_path):
+    def test_clear_cache_empties_the_directory(self, tmp_path):
         cache.set_cache_dir(tmp_path)
-        cache.cached_run(fast_config(), DESIGN)
-        assert cache.cache_size() == 1
+        parallel.run_many([(fast_config(), DESIGN)])
+        cache.clear_cache(disk=False)  # kept for old callers: does nothing
         assert cache.disk_cache_size() == 1
         cache.clear_cache()
-        assert cache.cache_size() == 0
         assert cache.disk_cache_size() == 0
 
 
@@ -243,7 +248,6 @@ class TestParallelDeterminism:
         serial = sweep_loss_load_curves(config, sweeps, seeds=(1, 2), jobs=1)
         serial_keys = sorted(p.name for p in (tmp_path / "serial").glob("*.json"))
 
-        cache.clear_cache(disk=False)
         cache.set_cache_dir(tmp_path / "pool")
         pooled = sweep_loss_load_curves(config, sweeps, seeds=(1, 2), jobs=4)
         pooled_keys = sorted(p.name for p in (tmp_path / "pool").glob("*.json"))
@@ -251,7 +255,8 @@ class TestParallelDeterminism:
         assert format_curves(pooled) == format_curves(serial)
         assert pooled_keys == serial_keys
 
-    def test_progress_events_are_task_ordered(self):
+    def test_progress_events_are_task_ordered(self, tmp_path):
+        cache.set_cache_dir(tmp_path)
         events = []
         tasks = [(fast_config(seed), DESIGN) for seed in (1, 2, 3)]
         results = parallel.run_many(tasks, jobs=2, progress=events.append)
@@ -259,11 +264,21 @@ class TestParallelDeterminism:
         assert sorted(e.index for e in events) == [0, 1, 2]
         assert {e.total for e in events} == {3}
         assert {e.source for e in events} == {"run"}
-        # Second pass: everything is a memo hit, reported in task order.
+        # Second pass: everything is a disk hit, reported in task order.
         events.clear()
         parallel.run_many(tasks, jobs=2, progress=events.append)
         assert [e.index for e in events] == [0, 1, 2]
-        assert {e.source for e in events} == {"memo"}
+        assert {e.source for e in events} == {"disk"}
+
+    def test_streamed_results_are_not_retained(self):
+        """With the cache off, the sweep keeps nothing it has yielded, so
+        a streaming consumer (``ReplicatedResult.aggregate``) holds one
+        run at a time."""
+        tasks = [(fast_config(seed), DESIGN) for seed in (1, 2, 3)]
+        refs = [weakref.ref(r) for r in parallel.iter_run_results(tasks)]
+        gc.collect()
+        assert len(refs) == 3
+        assert [ref() for ref in refs] == [None, None, None]
 
     def test_replicate_many_streams_by_default(self):
         (rep,) = parallel.replicate_many([(fast_config(), DESIGN)], seeds=(1, 2))
@@ -278,18 +293,19 @@ class TestParallelDeterminism:
 
 
 class TestProgressTracker:
-    def test_counts_and_summary(self, capsys):
+    def test_counts_and_summary(self, capsys, tmp_path):
+        cache.set_cache_dir(tmp_path)
         tracker = parallel.ProgressTracker(stream=sys.stderr)
         tasks = [(fast_config(9), DESIGN)]
         parallel.run_many(tasks, progress=tracker)
         parallel.run_many(tasks, progress=tracker)
         assert tracker.computed == 1
-        assert tracker.memo_hits == 1
+        assert tracker.disk_hits == 1
         summary = tracker.summary()
         assert "2 runs: 1 simulated" in summary
-        assert "1 memo hits" in summary
+        assert "1 disk hits" in summary
         err = capsys.readouterr().err
-        assert "[1/1]" in err and "(memo hit)" in err
+        assert "[1/1]" in err and "(disk hit)" in err
 
 
 class TestDiskPartialWrites:
@@ -304,9 +320,8 @@ class TestDiskPartialWrites:
     def _seed_entry(self, tmp_path):
         cache.set_cache_dir(tmp_path)
         config = fast_config()
-        computed = cache.cached_run(config, DESIGN)
+        (computed,) = parallel.run_many([(config, DESIGN)])
         entry = next(Path(tmp_path).glob("*.json"))
-        cache.clear_cache(disk=False)  # memo off; force the disk path
         return config, computed, entry
 
     def test_zero_byte_entry_is_a_miss_and_heals(self, tmp_path):
@@ -314,7 +329,7 @@ class TestDiskPartialWrites:
         entry.write_text("")
         assert cache.lookup(config, DESIGN) == (None, "miss")
         assert not entry.exists()  # the unreadable file was evicted
-        assert cache.cached_run(config, DESIGN) == computed
+        assert parallel.run_many([(config, DESIGN)]) == [computed]
         assert json.loads(entry.read_text())["schema"] == cache.SCHEMA_VERSION
 
     def test_truncated_entry_is_a_miss_and_heals(self, tmp_path):
@@ -322,7 +337,7 @@ class TestDiskPartialWrites:
         whole = entry.read_text()
         entry.write_text(whole[: len(whole) // 2])
         assert cache.lookup(config, DESIGN) == (None, "miss")
-        assert cache.cached_run(config, DESIGN) == computed
+        assert parallel.run_many([(config, DESIGN)]) == [computed]
 
     def test_entry_missing_result_field_is_a_miss(self, tmp_path):
         config, computed, entry = self._seed_entry(tmp_path)
@@ -330,7 +345,7 @@ class TestDiskPartialWrites:
         del payload["result"]
         entry.write_text(json.dumps(payload))  # valid JSON, wrong shape
         assert cache.lookup(config, DESIGN) == (None, "miss")
-        assert cache.cached_run(config, DESIGN) == computed
+        assert parallel.run_many([(config, DESIGN)]) == [computed]
 
     def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
         """A full or read-only directory degrades to compute-always without
@@ -347,11 +362,11 @@ class TestDiskPartialWrites:
         monkeypatch.setattr(os, "replace", failing_replace)
         cache.set_cache_dir(tmp_path)
         config = fast_config()
-        computed = cache.cached_run(config, DESIGN)
+        (computed,) = parallel.run_many([(config, DESIGN)])
         assert len(failures) == 1
         assert list(tmp_path.iterdir()) == []
         # Only the disk write was lost; the next store goes through.
-        assert cache.lookup(config, DESIGN) == (computed, "memo")
+        assert cache.lookup(config, DESIGN) == (None, "miss")
         cache.store(config, DESIGN, computed)
         assert cache.disk_cache_size() == 1
 

@@ -46,13 +46,6 @@ def as_json(result) -> str:
     return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
 
-@pytest.fixture
-def fresh_memo():
-    cache.clear_cache()
-    yield
-    cache.clear_cache()
-
-
 def crash_once_hook(tmp_path, crash_seed: int):
     """Kill the worker the first time it picks up ``crash_seed``'s task."""
     marker = tmp_path / f"crashed-{crash_seed}"
@@ -66,9 +59,8 @@ def crash_once_hook(tmp_path, crash_seed: int):
 
 
 class TestCrashRecovery:
-    def test_sweep_survives_crash_and_matches_serial(self, tmp_path, fresh_memo):
+    def test_sweep_survives_crash_and_matches_serial(self, tmp_path):
         serial = [as_json(r) for r in parallel.run_many(tasks(), jobs=1)]
-        cache.clear_cache()
 
         events = []
         parallel.set_task_hook(crash_once_hook(tmp_path, crash_seed=2))
@@ -85,28 +77,30 @@ class TestCrashRecovery:
         runs = sorted(e.index for e in events if e.source == "run")
         assert runs == [0, 1, 2]
 
-    def test_crash_refills_the_cache_completely(self, tmp_path, fresh_memo):
+    def test_crash_refills_the_cache_completely(self, tmp_path):
+        cache.set_cache_dir(tmp_path / "cache")
         parallel.set_task_hook(crash_once_hook(tmp_path, crash_seed=1))
         parallel.run_many(tasks(), jobs=2)
         parallel.set_task_hook(None)
         # A re-run is pure cache: no "run" events at all.
         events = []
         parallel.run_many(tasks(), jobs=2, progress=events.append)
-        assert {e.source for e in events} == {"memo"}
+        assert {e.source for e in events} == {"disk"}
 
-    def test_persistent_crash_exhausts_retry_budget(self, tmp_path, fresh_memo):
+    def test_persistent_crash_exhausts_retry_budget(self, monkeypatch):
         def always_crash(task):
             if task[0].seed == 2:
                 os._exit(1)
 
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_RETRIES", 1)
         parallel.set_task_hook(always_crash)
         try:
             with pytest.raises(SweepWorkerError, match="retry budget"):
-                parallel.run_many(tasks(), jobs=2, task_retries=1)
+                parallel.run_many(tasks(), jobs=2)
         finally:
             parallel.set_task_hook(None)
 
-    def test_stalled_pool_is_recycled(self, tmp_path, fresh_memo):
+    def test_stalled_pool_is_recycled(self, tmp_path, monkeypatch):
         marker = tmp_path / "stalled"
 
         def stall_once(task):
@@ -115,16 +109,16 @@ class TestCrashRecovery:
                 time.sleep(6.0)
 
         serial = [as_json(r) for r in parallel.run_many(tasks(), jobs=1)]
-        cache.clear_cache()
         events = []
+        # The deadline must clear a genuine run (~0.5 s) with margin but
+        # sit well under the injected 6 s hang; generous retries keep a
+        # slow CI box from burning the budget on load spikes.
+        parallel.set_task_timeout(2.0)
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_RETRIES", 5)
         parallel.set_task_hook(stall_once)
         try:
-            # The deadline must clear a genuine run (~0.5 s) with margin
-            # but sit well under the injected 6 s hang; generous retries
-            # keep a slow CI box from burning the budget on load spikes.
             stalled = [as_json(r) for r in parallel.run_many(
                 tasks(), jobs=2, progress=events.append,
-                task_timeout=2.0, task_retries=5,
             )]
         finally:
             parallel.set_task_hook(None)
@@ -141,7 +135,7 @@ class TestDeterministicFailure:
         return hook
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_task_exception_aborts_with_run_key(self, jobs, fresh_memo):
+    def test_task_exception_aborts_with_run_key(self, jobs):
         parallel.set_task_hook(self._boom_hook(crash_seed=2))
         events = []
         try:
@@ -157,7 +151,7 @@ class TestDeterministicFailure:
         assert [e.index for e in failed] == [1]
         assert "injected deterministic failure" in failed[0].error
 
-    def test_failed_task_is_never_retried(self, fresh_memo):
+    def test_failed_task_is_never_retried(self):
         calls = []
 
         def hook(task):

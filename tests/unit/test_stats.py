@@ -1,45 +1,9 @@
-"""Unit tests for statistics helpers."""
+"""Unit tests for the periodic time-series sampler."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.stats.series import PeriodicSampler
-from repro.stats.summary import RunningStats, summarize
-
-
-class TestRunningStats:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(5.0, 2.0, 500)
-        stats = RunningStats()
-        stats.extend(data)
-        assert stats.mean == pytest.approx(float(np.mean(data)))
-        assert stats.variance == pytest.approx(float(np.var(data, ddof=1)))
-
-    def test_single_sample(self):
-        stats = RunningStats()
-        stats.add(3.0)
-        assert stats.mean == 3.0
-        assert stats.variance == 0.0
-        assert stats.confidence_halfwidth() == 0.0
-
-    def test_confidence_shrinks_with_n(self):
-        rng = np.random.default_rng(1)
-        small, large = RunningStats(), RunningStats()
-        small.extend(rng.normal(0, 1, 10))
-        large.extend(rng.normal(0, 1, 1000))
-        assert large.confidence_halfwidth() < small.confidence_halfwidth()
-
-    def test_summarize(self):
-        out = summarize([1.0, 2.0, 3.0])
-        assert out["n"] == 3
-        assert out["mean"] == pytest.approx(2.0)
-        assert out["stddev"] == pytest.approx(1.0)
-
-    def test_summarize_empty(self):
-        with pytest.raises(ConfigurationError):
-            summarize([])
 
 
 class TestPeriodicSampler:
