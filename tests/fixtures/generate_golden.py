@@ -44,21 +44,31 @@ DESIGN = EndpointDesign(
     CongestionSignal.DROP, ProbeBand.IN_BAND, ProbingScheme.SLOW_START
 )
 
-#: ``basic`` seed 1 again as (controller, obs) variants.  The matrix above
+#: Seed 1 again as (scenario, controller, obs) variants.  The matrix above
 #: never runs the MBAC estimator or the time-series sampler, which is how a
 #: negative load sample and a 0.0 utilisation sample at the warm-up
-#: boundary lived unpinned until PR 23.
-VARIANTS: Dict[str, Tuple[ControllerSpec, Optional[ObsConfig]]] = {
-    "mbac": (MbacConfig(0.9), None),
+#: boundary once lived unpinned.  The two ``*-metrics`` variants pin
+#: the end-of-run metrics snapshot byte for byte: the flaky one carries the
+#: fault, trace, port, class and probe-fraction series (its trace capped
+#: so the fixture stays small), the MBAC one the estimator series.
+VARIANTS: Dict[str, Tuple[str, ControllerSpec, Optional[ObsConfig]]] = {
+    "mbac": ("basic", MbacConfig(0.9), None),
     "timeseries": (
-        DESIGN, ObsConfig(metrics=False, trace=False, timeseries=True)
+        "basic", DESIGN, ObsConfig(metrics=False, trace=False, timeseries=True)
+    ),
+    "flaky-metrics": (
+        "basic-flaky", DESIGN,
+        ObsConfig(metrics=True, trace=True, max_records=32),
+    ),
+    "mbac-metrics": (
+        "basic", MbacConfig(0.9), ObsConfig(metrics=True, trace=False)
     ),
 }
 
 
 def task(point: Dict[str, Any]) -> Tuple[ScenarioConfig, ControllerSpec]:
     """The (config, controller spec) a fixture point pins."""
-    spec, obs = VARIANTS.get(point.get("variant"), (DESIGN, None))
+    _, spec, obs = VARIANTS.get(point.get("variant"), ("basic", DESIGN, None))
     config = get_scenario(point["scenario"]).config(
         scale=SCALE, seed=point["seed"]
     )
@@ -69,8 +79,8 @@ def build() -> dict:
     matrix = [
         {"scenario": name, "seed": seed} for name in SCENARIOS for seed in SEEDS
     ] + [
-        {"scenario": "basic", "seed": 1, "variant": variant}
-        for variant in VARIANTS
+        {"scenario": scenario, "seed": 1, "variant": variant}
+        for variant, (scenario, _, _) in VARIANTS.items()
     ]
     points = []
     for point in matrix:
