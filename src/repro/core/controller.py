@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.design import EndpointDesign
 from repro.core.endpoint import EndpointAgent, FlowOutcome
+from repro.net.link import OutputPort
 from repro.net.packet import FlowAccounting
 from repro.net.sink import Sink
 from repro.net.topology import Network
@@ -162,6 +163,13 @@ class ControllerBase:
             admitted=True,
             decision_time=self.sim.now,
         )
+        self._start_data(request, route, outcome)
+        return outcome
+
+    def _start_data(self, request: FlowRequest, route: List[OutputPort],
+                    outcome: FlowOutcome) -> None:
+        """Start an admitted flow's data phase, record the decision, and
+        schedule the phase's end ``request.lifetime`` from now."""
         data_flow = FlowAccounting(request.flow_id)
         outcome.data = data_flow
         source = request.spec.build(
@@ -176,7 +184,6 @@ class ControllerBase:
             self._record_complete(outcome)
 
         self.sim.schedule(request.lifetime, finish)
-        return outcome
 
     # -- recording -------------------------------------------------------------
 

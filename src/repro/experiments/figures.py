@@ -56,7 +56,6 @@ from repro.net.queues import DropTailFifo
 from repro.net.topology import single_link
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.stats.series import PeriodicSampler
 from repro.core.controller import EndpointAdmissionControl
 from repro.tcp.app import TcpConnection
 from repro.traffic.catalog import get_source_spec
@@ -93,57 +92,6 @@ class FigureResult:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.text
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (loss-load curves become point lists)."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "data": _jsonable(self.data),
-        }
-
-    def save(self, path: str) -> None:
-        """Write both the rendered text and the JSON data next to ``path``.
-
-        ``path`` names the text file; the JSON goes to ``path`` with a
-        ``.json`` suffix appended.
-        """
-        import json
-
-        with open(path, "w") as fh:
-            fh.write(self.text + "\n")
-        with open(path + ".json", "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
-
-def _jsonable(value: object) -> object:
-    """Best-effort conversion of figure data to JSON-serializable types."""
-    if isinstance(value, LossLoadCurve):
-        return {
-            "label": value.label,
-            "points": [
-                {
-                    "parameter": p.parameter,
-                    "utilization": p.utilization,
-                    "loss_probability": p.loss_probability,
-                    "blocking_probability": p.blocking_probability,
-                }
-                for p in value.points
-            ],
-        }
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "__dict__") and not isinstance(value, type):
-        public = {
-            k: v for k, v in vars(value).items() if not k.startswith("_")
-        }
-        if public:
-            return {k: _jsonable(v) for k, v in public.items()}
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -633,12 +581,19 @@ def figure11(
         generator = FlowGenerator(sim, streams, classes, 3.5, controller.handle)
         sim.schedule_at(ac_start, generator.start)
 
-        sampler = PeriodicSampler(sim, lambda: port.stats.be_bytes, interval)
+        # Cumulative TCP (best-effort) bytes at t = interval, 2*interval, ...
+        be_bytes: List[int] = []
+
+        def sample() -> None:
+            be_bytes.append(port.stats.be_bytes)
+            sim.schedule(interval, sample)
+
+        sim.schedule_at(interval, sample)
         sim.run(until=duration)
 
         tcp_share = [
-            delta * BITS_PER_BYTE / (port.rate_bps * interval)
-            for delta in sampler.deltas()
+            (now - before) * BITS_PER_BYTE / (port.rate_bps * interval)
+            for before, now in zip([0] + be_bytes, be_bytes)
         ]
         series[eps] = tcp_share
         tail = tcp_share[len(tcp_share) // 3:]

@@ -28,7 +28,6 @@ from repro.net.queues import DropTailFifo
 from repro.net.topology import Network, parking_lot, single_link
 from repro.obs.collect import collect_run
 from repro.obs.config import ObsConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.trace import TraceRecorder
 from repro.sim.engine import ProfileSink, Simulator
@@ -329,10 +328,8 @@ def run_scenario(
 
     metrics: Optional[Dict[str, Any]] = None
     if obs is not None and obs.metrics:
-        registry = MetricsRegistry()
-        collect_run(registry, sim, list(network.ports()), controller,
-                    schedule=fault_schedule, recorder=recorder)
-        metrics = registry.to_dict()
+        metrics = collect_run(sim, network.ports(), controller,
+                              schedule=fault_schedule, recorder=recorder)
 
     return ScenarioResult(
         controller_name=_controller_name(design),

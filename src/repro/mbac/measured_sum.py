@@ -26,7 +26,6 @@ from repro.core.endpoint import FlowOutcome
 from repro.errors import ConfigurationError
 from repro.mbac.estimator import TimeWindowEstimator
 from repro.net.link import OutputPort
-from repro.net.packet import FlowAccounting
 from repro.net.topology import Network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -112,15 +111,4 @@ class MeasuredSumController(ControllerBase):
             return
         for est in estimators:
             est.admit(rate)
-        data_flow = FlowAccounting(request.flow_id)
-        outcome.data = data_flow
-        source = request.spec.build(self.sim, route, self.sink, data_flow, self._source_rng)
-        source.start()
-        self._record_decision(outcome)
-
-        def finish() -> None:
-            source.stop()
-            outcome.end_time = self.sim.now
-            self._record_complete(outcome)
-
-        self.sim.schedule(request.lifetime, finish)
+        self._start_data(request, route, outcome)

@@ -1,10 +1,10 @@
 """Deterministic observability: metrics, event tracing, profiling.
 
-Three instruments, three domains (DESIGN.md §13):
+Three kinds of observation, three domains (DESIGN.md §13):
 
-* **Metrics** (:mod:`repro.obs.metrics`) — counters/gauges/histograms
-  with label sets, mostly *harvested* after the run from counters the
-  components already keep (:mod:`repro.obs.collect`), so hot paths pay
+* **Metrics** (:mod:`repro.obs.collect`) — a snapshot of counters,
+  gauges and one histogram with label sets, *harvested* once after the
+  run from counters the components already keep, so hot paths pay
   nothing.  Deterministic: part of ``ScenarioResult`` and the cache.
 * **Tracing** (:mod:`repro.obs.trace`) — sim-time-stamped JSONL records
   with per-category deterministic sampling, byte-identical across runs
@@ -13,7 +13,7 @@ Three instruments, three domains (DESIGN.md §13):
   an *injected* clock, harness domain only.  Nondeterministic: rides in
   progress events, never in cached results.
 
-Three derived views build on those instruments (DESIGN.md §14):
+Three derived views build on them (DESIGN.md §14):
 
 * **Time series** (:mod:`repro.obs.timeseries`) — a periodic sampler
   scheduled on sim time recording per-port utilization/backlog/loss,
@@ -34,12 +34,6 @@ Enable per scenario via ``ScenarioConfig(obs=ObsConfig(...))`` or the
 from repro.obs.config import KNOWN_CATEGORIES, ObsConfig
 from repro.obs.export import MANIFEST_SCHEMA_VERSION, ObsDirWriter
 from repro.obs.merge import merge_files, merge_streams
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.obs.profile import CallbackProfile
 from repro.obs.spans import FlowSpan, assemble_spans, span_counts
 from repro.obs.timeseries import TIMESERIES_SCHEMA_VERSION, TimeSeriesSampler
@@ -57,10 +51,6 @@ __all__ = [
     "ObsDirWriter",
     "merge_files",
     "merge_streams",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "CallbackProfile",
     "FlowSpan",
     "assemble_spans",

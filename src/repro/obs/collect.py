@@ -1,122 +1,137 @@
-"""End-of-run metrics harvesting.
+"""End-of-run metrics: the one writer of the metrics snapshot.
 
 The components already keep the counters the paper's analysis needs —
 ``PortStats``, ``ClassStats``, the engine's scheduling totals, the fault
-schedule's ``applied`` count — so most metrics cost the hot paths
-*nothing*: they are read once here, after :meth:`Simulator.run`
-returns.  Only a handful of genuinely per-event facts (probe decisions,
-fault applications, estimator samples) are traced live, and those paths
-are low-rate by construction.
+schedule's ``applied`` count — so metrics cost the hot paths *nothing*:
+:func:`collect_run` reads them once, after :meth:`Simulator.run`
+returns, and builds the snapshot ``run_scenario`` stores as
+``ScenarioResult.metrics``.  Everything else (``python -m repro.obs``,
+``bench``) only reads it::
 
-Every iteration below is over a deterministically ordered collection
-(``Network.ports()`` insertion order, sorted class labels, sorted
-estimators), so the registry snapshot is byte-identical across runs.
+    {"v": 1,
+     "counters":   [{"name", "labels", "value"}, ...],
+     "gauges":     [{"name", "labels", "value"}, ...],
+     "histograms": [{"name", "labels", "bounds", "buckets", "count", "sum"}]}
+
+Each list is sorted by ``(name, sorted label pairs)``, and a series whose
+value is zero is still listed, so identical runs give byte-identical
+canonical JSON and ``python -m repro.obs diff`` reports zero deltas.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from bisect import bisect_left
+from collections import Counter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.controller import ControllerBase
 from repro.faults.schedule import FaultSchedule
 from repro.mbac.measured_sum import MeasuredSumController
 from repro.net.link import OutputPort
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.sim.engine import Simulator
 
+#: Upper bounds of the ``probe_fraction`` buckets; one more bucket counts
+#: the fractions above the last bound.
+_PROBE_FRACTION_BOUNDS: Tuple[float, ...] = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
+)
 
-def collect_simulator(registry: MetricsRegistry, sim: Simulator) -> None:
-    """Engine totals: scheduling volume, cancellation churn, compactions."""
-    registry.counter("sim_events_scheduled").inc(sim.scheduled)
-    registry.counter("sim_events_dispatched").inc(sim.events_processed)
-    registry.counter("sim_events_cancelled").inc(sim.cancellations)
-    registry.counter("sim_compactions").inc(sim.compactions)
-    registry.gauge("sim_time").set(sim.now)
-    registry.gauge("sim_pending").set(sim.pending)
+#: ``PortStats`` window fields, each harvested as ``port_<field>``.
+_PORT_FIELDS = (
+    "data_bytes", "probe_bytes", "be_bytes", "data_packets", "probe_packets",
+    "arrived_data_bytes", "arrived_probe_bytes",
+)
 
+#: ``(series name, ClassStats attribute)`` of the per-class counters.
+_CLASS_FIELDS = (
+    ("flows_offered", "offered"), ("flows_admitted", "admitted"),
+    ("flows_blocked", "blocked"), ("flows_timed_out", "timed_out"),
+    ("probe_retries", "retries"), ("packets_sent", "sent"),
+    ("packets_delivered", "delivered"), ("packets_dropped", "dropped"),
+    ("packets_marked", "marked"), ("packets_lost", "lost"),
+)
 
-def collect_port(registry: MetricsRegistry, port: OutputPort) -> None:
-    """One port's measurement-window counters and instantaneous state."""
-    name = port.name
-    stats = port.stats.window()
-    registry.counter("port_data_bytes", port=name).inc(stats.data_bytes)
-    registry.counter("port_probe_bytes", port=name).inc(stats.probe_bytes)
-    registry.counter("port_be_bytes", port=name).inc(stats.be_bytes)
-    registry.counter("port_data_packets", port=name).inc(stats.data_packets)
-    registry.counter("port_probe_packets", port=name).inc(stats.probe_packets)
-    registry.counter("port_arrived_data_bytes", port=name).inc(
-        stats.arrived_data_bytes)
-    registry.counter("port_arrived_probe_bytes", port=name).inc(
-        stats.arrived_probe_bytes)
-    registry.counter("port_fault_drops", port=name).inc(port.fault_drops)
-    registry.gauge("port_backlog_packets", port=name).set(
-        port.qdisc.backlog_packets)
-    registry.gauge("port_utilization", port=name).set(
-        stats.utilization(port.rate_bps, port.sim.now))
+Series = Dict[str, Any]
 
 
-def collect_controller(registry: MetricsRegistry,
-                       controller: ControllerBase) -> None:
-    """Per-class admission outcomes plus the probe-fraction distribution."""
-    class_stats = controller.class_stats()
-    for label in sorted(class_stats):
-        stats = class_stats[label]
-        registry.counter("flows_offered", cls=label).inc(stats.offered)
-        registry.counter("flows_admitted", cls=label).inc(stats.admitted)
-        registry.counter("flows_blocked", cls=label).inc(stats.blocked)
-        registry.counter("flows_timed_out", cls=label).inc(stats.timed_out)
-        registry.counter("probe_retries", cls=label).inc(stats.retries)
-        registry.counter("packets_sent", cls=label).inc(stats.sent)
-        registry.counter("packets_delivered", cls=label).inc(stats.delivered)
-        registry.counter("packets_dropped", cls=label).inc(stats.dropped)
-        registry.counter("packets_marked", cls=label).inc(stats.marked)
-        registry.counter("packets_lost", cls=label).inc(stats.lost)
-    hist = registry.histogram("probe_fraction")
+def _series(name: str, value: float, **labels: str) -> Series:
+    return {"name": name, "labels": labels, "value": value}
+
+
+def _sorted(series: List[Series]) -> List[Series]:
+    return sorted(series, key=lambda s: (s["name"], sorted(s["labels"].items())))
+
+
+def _probe_fraction(controller: ControllerBase) -> Series:
+    """Histogram of the flows' probe loss/mark fractions, in outcome order."""
+    buckets = [0] * (len(_PROBE_FRACTION_BOUNDS) + 1)
+    total = 0.0
     for outcome in controller.outcomes:
         fraction = outcome.probe_fraction
         if fraction == fraction:  # skip NaN (flows that never probed)
-            hist.observe(fraction)
-    if isinstance(controller, MeasuredSumController):
-        for est in controller.estimators():
-            registry.counter("mbac_samples", port=est.port.name).inc(
-                est.samples_taken)
-            registry.gauge("mbac_estimate_bps", port=est.port.name).set(
-                est.estimate_bps)
-
-
-def collect_faults(registry: MetricsRegistry,
-                   schedule: FaultSchedule) -> None:
-    """Fault-schedule volume: planned vs applied, split by action."""
-    registry.counter("fault_events_planned").inc(len(schedule.events))
-    registry.counter("fault_events_applied").inc(schedule.applied)
-    for event in schedule.events:
-        registry.counter("fault_actions", action=event.action).inc()
-
-
-def collect_trace(registry: MetricsRegistry,
-                  recorder: TraceRecorder) -> None:
-    """The trace's own accounting: emitted vs kept per category."""
-    for category, (emitted, kept) in recorder.counts().items():
-        registry.counter("trace_emitted", category=category).inc(emitted)
-        registry.counter("trace_kept", category=category).inc(kept)
-    registry.counter("trace_capped").inc(recorder.dropped)
+            buckets[bisect_left(_PROBE_FRACTION_BOUNDS, fraction)] += 1
+            total += fraction
+    return {
+        "name": "probe_fraction", "labels": {},
+        "bounds": list(_PROBE_FRACTION_BOUNDS), "buckets": buckets,
+        "count": sum(buckets), "sum": total,
+    }
 
 
 def collect_run(
-    registry: MetricsRegistry,
     sim: Simulator,
     ports: Sequence[OutputPort],
     controller: ControllerBase,
     schedule: Optional[FaultSchedule] = None,
     recorder: Optional[TraceRecorder] = None,
-) -> None:
-    """Harvest every layer of one finished scenario run."""
-    collect_simulator(registry, sim)
+) -> Dict[str, Any]:
+    """Harvest every layer of one finished scenario run into the snapshot."""
+    counters = [
+        _series("sim_events_scheduled", sim.scheduled),
+        _series("sim_events_dispatched", sim.events_processed),
+        _series("sim_events_cancelled", sim.cancellations),
+        _series("sim_compactions", sim.compactions),
+    ]
+    gauges = [_series("sim_time", sim.now), _series("sim_pending", sim.pending)]
     for port in ports:
-        collect_port(registry, port)
-    collect_controller(registry, controller)
+        name = port.name
+        stats = port.stats.window()
+        counters += [
+            _series(f"port_{field}", getattr(stats, field), port=name)
+            for field in _PORT_FIELDS
+        ]
+        counters.append(_series("port_fault_drops", port.fault_drops, port=name))
+        gauges.append(_series("port_backlog_packets",
+                              port.qdisc.backlog_packets, port=name))
+        gauges.append(_series("port_utilization",
+                              stats.utilization(port.rate_bps, sim.now), port=name))
+    for label, cls in controller.class_stats().items():
+        counters += [
+            _series(series, getattr(cls, field), cls=label)
+            for series, field in _CLASS_FIELDS
+        ]
+    if isinstance(controller, MeasuredSumController):
+        for est in controller.estimators():
+            name = est.port.name
+            counters.append(_series("mbac_samples", est.samples_taken, port=name))
+            gauges.append(_series("mbac_estimate_bps", est.estimate_bps, port=name))
     if schedule is not None:
-        collect_faults(registry, schedule)
+        counters.append(_series("fault_events_planned", len(schedule.events)))
+        counters.append(_series("fault_events_applied", schedule.applied))
+        actions = Counter(event.action for event in schedule.events)
+        counters += [
+            _series("fault_actions", n, action=action)
+            for action, n in actions.items()
+        ]
     if recorder is not None:
-        collect_trace(registry, recorder)
+        for category, (emitted, kept) in recorder.counts().items():
+            counters.append(_series("trace_emitted", emitted, category=category))
+            counters.append(_series("trace_kept", kept, category=category))
+        counters.append(_series("trace_capped", recorder.dropped))
+    return {
+        "v": 1,
+        "counters": _sorted(counters),
+        "gauges": _sorted(gauges),
+        "histograms": [_probe_fraction(controller)],
+    }

@@ -36,8 +36,9 @@ class ObsConfig:
     Parameters
     ----------
     metrics:
-        Harvest a :class:`~repro.obs.metrics.MetricsRegistry` snapshot at
-        the end of the run into ``ScenarioResult.metrics``.
+        Harvest the end-of-run metrics snapshot
+        (:func:`~repro.obs.collect.collect_run`) into
+        ``ScenarioResult.metrics``.
     trace:
         Record sim-time-stamped JSONL events into ``ScenarioResult.trace``.
     categories:

@@ -1,30 +1,34 @@
 """Unit tests for the ``repro.obs`` building blocks.
 
 Covers the observability config's validation, the trace recorder's
-deterministic sampling/filtering/capping contract, the metrics registry's
-canonical snapshot, the injected-clock callback profile, and the engine's
+deterministic sampling/filtering/capping contract, the end-of-run metrics
+snapshot, the injected-clock callback profile, and the engine's
 trace/profile protocol hooks (including the profiled loop's exact
 equivalence to the unprofiled fast path).
 """
 
 import json
+import math
 
 import pytest
 
+from repro import canonical
+from repro.core.controller import NoAdmissionControl
+from repro.core.endpoint import FlowOutcome
 from repro.errors import ConfigurationError
+from repro.net.queues import DropTailFifo
+from repro.net.topology import Network
 from repro.obs import (
     KNOWN_CATEGORIES,
     CallbackProfile,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     ObsConfig,
     TraceRecorder,
     parse_lines,
 )
+from repro.obs.collect import collect_run
 from repro.obs.profile import format_rows, merge_rows
 from repro.sim.engine import Simulator
+from repro.sim.rng import RandomStreams
 
 
 class TestObsConfig:
@@ -127,50 +131,41 @@ class TestTraceRecorder:
         assert record["x_recorder"] == "shadow"
 
 
-class TestMetricsRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        reg = MetricsRegistry()
-        a = reg.counter("x", port="p0")
-        b = reg.counter("x", port="p0")
-        assert a is b
-        assert reg.counter("x", port="p1") is not a
-
-    def test_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("x")
-
-    def test_instruments(self):
-        c = Counter()
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        g = Gauge()
-        g.set(7.0)
-        g.set(-1.0)
-        assert g.value == -1.0
-        h = Histogram(bounds=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            h.observe(v)
-        assert h.bucket_counts == [1, 1, 1]
-        assert h.count == 3
-        assert h.mean == pytest.approx(5.55 / 3)
-        assert Histogram().mean == 0.0
+class TestCollectRun:
+    @staticmethod
+    def snapshot(fractions):
+        """The metrics of a one-port run whose flows were all rejected
+        after probing with the given loss fractions."""
+        sim = Simulator()
+        network = Network(sim)
+        network.add_link("a", "b", 1e6, lambda: DropTailFifo(10))
+        controller = NoAdmissionControl(sim, network, RandomStreams(1))
+        for i, fraction in enumerate(fractions):
+            controller._record_decision(FlowOutcome(
+                i, "EXP1", 0.0, 0.05, probe_fraction=fraction))
+        sim.run(until=1.0)
+        return collect_run(sim, network.ports(), controller)
 
     def test_snapshot_is_deterministically_ordered(self):
-        def build():
-            reg = MetricsRegistry()
-            reg.counter("b").inc(2)
-            reg.counter("a", port="p1").inc(1)
-            reg.counter("a", port="p0").inc(1)
-            reg.gauge("g").set(0.5)
-            reg.histogram("h").observe(0.2)
-            return reg
+        snap = self.snapshot([0.2])
+        assert canonical.dumps(snap) == canonical.dumps(self.snapshot([0.2]))
+        for kind in ("counters", "gauges"):
+            keys = [(s["name"], sorted(s["labels"].items())) for s in snap[kind]]
+            assert keys == sorted(keys)
+        cls = {s["name"]: s["value"] for s in snap["counters"]
+               if s["labels"] == {"cls": "EXP1"}}
+        assert cls["flows_offered"] == cls["flows_blocked"] == 1
+        # Zero-valued series are listed, and counters stay ints.
+        assert cls["packets_sent"] == 0 and type(cls["packets_sent"]) is int
 
-        assert build().to_json() == build().to_json()
-        names = [e["name"] for e in build().to_dict()["counters"]]
-        assert names == ["a", "a", "b"]
+    def test_probe_fraction_buckets(self):
+        snap = self.snapshot([0.001, 0.002, math.nan, 0.5, 2.0])
+        (hist,) = snap["histograms"]
+        # Bounds are inclusive upper edges, NaN (never probed) is skipped,
+        # and the extra last bucket takes fractions above 1.0.
+        assert hist["buckets"] == [1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 1]
+        assert hist["count"] == 4
+        assert hist["sum"] == 0.001 + 0.002 + 0.5 + 2.0
 
 
 class TestCallbackProfile:

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, ObsConfig, TraceRecorder
+from repro.obs import ObsConfig, TraceRecorder
 from repro.obs.cli import (
     diff_dumps,
     filter_trace,
@@ -39,10 +39,12 @@ EVENTS = [
 
 
 def write_metrics(path, values):
-    reg = MetricsRegistry()
-    for name, labels, value in values:
-        reg.counter(name, **labels).inc(value)
-    path.write_text(reg.to_json() + "\n")
+    """A metrics dump with one counter per (name, labels, value) triple."""
+    counters = [{"name": name, "labels": labels, "value": value}
+                for name, labels, value in values]
+    payload = {"v": 1, "counters": counters, "gauges": [], "histograms": []}
+    path.write_text(json.dumps(payload, sort_keys=True,
+                               separators=(",", ":")) + "\n")
     return str(path)
 
 
