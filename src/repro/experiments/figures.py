@@ -17,12 +17,11 @@ number was produced at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.design import (
-    IN_BAND_EPSILONS,
-    OUT_OF_BAND_EPSILONS,
     CongestionSignal,
     EndpointDesign,
     ProbeBand,
@@ -30,28 +29,21 @@ from repro.core.design import (
     all_designs,
 )
 from repro.experiments.lossload import (
+    MBAC_TARGETS,
     CurveSpec,
     LossLoadCurve,
     sweep_loss_load_curves,
 )
 from repro.experiments.parallel import replicate_many
-from repro.experiments.runner import (
-    ControllerSpec,
-    MbacConfig,
-    ReplicatedResult,
-    ScenarioConfig,
-)
+from repro.experiments.runner import ControllerSpec, MbacConfig, ScenarioConfig
 from repro.experiments.scenarios import (
-    SCENARIOS,
     default_scale,
     get_scenario,
-    heterogeneous_classes,
     scaled_seeds,
     scaled_times,
 )
 from repro.experiments.report import format_curves, format_series, format_table
 from repro.fluid.model import FluidModelConfig, figure1_series
-from repro.net.packet import BEST_EFFORT
 from repro.net.queues import DropTailFifo
 from repro.net.topology import single_link
 from repro.sim.engine import Simulator
@@ -62,9 +54,21 @@ from repro.traffic.catalog import get_source_spec
 from repro.traffic.flowgen import FlowClass, FlowGenerator
 from repro.units import BITS_PER_BYTE, mbps
 
-#: Fixed thresholds of Figure 9 / Tables 3-4 (paper Section 4.3-4.5).
+#: Fixed thresholds of Figure 9 / Table 4 (paper Section 4.3-4.5).
 FIXED_EPS_IN_BAND = 0.01
 FIXED_EPS_OUT_OF_BAND = 0.05
+
+
+class _BandEpsilons(NamedTuple):
+    fixed: float  # Figure 9 / Table 4
+    high: float  # Table 3's high-threshold class; tops the reduced sweep
+
+
+#: The per-band thresholds every sweep below reads.
+_BAND_EPSILONS = {
+    ProbeBand.IN_BAND: _BandEpsilons(FIXED_EPS_IN_BAND, high=0.05),
+    ProbeBand.OUT_OF_BAND: _BandEpsilons(FIXED_EPS_OUT_OF_BAND, high=0.20),
+}
 
 #: Tables 3-6 report *blocking probabilities*, which need enough admission
 #: decisions to be meaningful; their runs never shrink below this scale
@@ -72,13 +76,13 @@ FIXED_EPS_OUT_OF_BAND = 0.05
 TABLE_MIN_SCALE = 0.04
 
 
-def _table_scale(scale: Optional[float]) -> float:
-    s = default_scale() if scale is None else scale
-    return max(s, TABLE_MIN_SCALE) if s < 0.5 else s
+def _full_scale(scale: Optional[float]) -> bool:
+    """Whether ``scale`` runs the paper's full sweeps."""
+    return (default_scale() if scale is None else scale) >= 0.5
 
-#: High thresholds for the heterogeneous-thresholds study (Table 3).
-HIGH_EPS_IN_BAND = 0.05
-HIGH_EPS_OUT_OF_BAND = 0.20
+
+def _table_scale(scale: Optional[float]) -> float:
+    return max(default_scale() if scale is None else scale, TABLE_MIN_SCALE)
 
 
 @dataclass
@@ -95,7 +99,7 @@ class FigureResult:
 
 
 # ---------------------------------------------------------------------------
-# sweep density helpers
+# the sweep plan
 # ---------------------------------------------------------------------------
 
 def bench_epsilons(design: EndpointDesign, scale: Optional[float] = None) -> Tuple[float, ...]:
@@ -104,61 +108,57 @@ def bench_epsilons(design: EndpointDesign, scale: Optional[float] = None) -> Tup
     Full paper sweeps at scale >= 0.5; at smaller scales a 3-point subset
     that still spans the range and includes the Figure-9 fixed epsilon.
     """
-    s = default_scale() if scale is None else scale
-    if design.band is ProbeBand.IN_BAND:
-        full = IN_BAND_EPSILONS
-        trimmed = (0.0, FIXED_EPS_IN_BAND, 0.05)
-    else:
-        full = OUT_OF_BAND_EPSILONS
-        trimmed = (0.0, FIXED_EPS_OUT_OF_BAND, 0.20)
-    return full if s >= 0.5 else trimmed
+    if _full_scale(scale):
+        return design.default_epsilons
+    band = _BAND_EPSILONS[design.band]
+    return (0.0, band.fixed, band.high)
 
 
 def bench_mbac_targets(scale: Optional[float] = None) -> Tuple[float, ...]:
     """MBAC target sweep for a given scale."""
-    s = default_scale() if scale is None else scale
-    if s >= 0.5:
-        return (0.85, 0.90, 0.95, 1.00, 1.10)
-    return (0.90, 1.00, 1.10)
+    return MBAC_TARGETS if _full_scale(scale) else (0.90, 1.00, 1.10)
 
 
 def fixed_epsilon(design: EndpointDesign) -> float:
     """The Figure-9 fixed threshold for a design's band."""
-    if design.band is ProbeBand.IN_BAND:
-        return FIXED_EPS_IN_BAND
-    return FIXED_EPS_OUT_OF_BAND
+    return _BAND_EPSILONS[design.band].fixed
 
 
-def _scenario_curves(
+def _curves(
     config: ScenarioConfig,
     scale: Optional[float],
-    designs: Optional[Sequence[EndpointDesign]] = None,
-    include_mbac: bool = True,
+    designs: Sequence[EndpointDesign],
+    labels: Optional[Sequence[str]] = None,
     narrow: bool = False,
 ) -> List[LossLoadCurve]:
-    """MBAC + the four prototype designs on one scenario.
+    """MBAC plus one epsilon sweep per design on one scenario.
 
-    ``narrow=True`` (used by the six-panel Figure 8 at reduced scale)
-    keeps only two epsilon points per design — the strictest setting and
-    the Figure-9 fixed value — and two MBAC targets.
+    ``narrow=True`` (the six-panel Figure 8 and the high-load Figures 4-7)
+    keeps two points per curve at reduced scale: eps = 0 and the design's
+    Figure-9 fixed value, MBAC targets 0.9 and 1.1.  Curves are labelled
+    by ``labels`` or else by design name.
 
     All curves' points are submitted as one flat sweep so the parallel
     runner fans out across every (curve, point, seed) of the figure.
     """
-    s = default_scale() if scale is None else scale
-    seeds = scaled_seeds(scale)
-    sweeps: List[CurveSpec] = []
-    narrow = narrow and s < 0.5
-    if include_mbac:
-        targets = (0.90, 1.10) if narrow else bench_mbac_targets(scale)
-        sweeps.append(CurveSpec.for_mbac(targets))
-    for design in designs if designs is not None else all_designs():
-        if narrow:
-            epsilons = (0.0, fixed_epsilon(design))
-        else:
-            epsilons = bench_epsilons(design, scale)
-        sweeps.append(CurveSpec.for_design(design, epsilons))
-    return sweep_loss_load_curves(config, sweeps, seeds=seeds)
+    narrow = narrow and not _full_scale(scale)
+    sweeps = [CurveSpec.for_mbac((0.90, 1.10) if narrow else bench_mbac_targets(scale))]
+    for design, label in zip(designs, labels or [None] * len(designs)):
+        epsilons = (0.0, fixed_epsilon(design)) if narrow else bench_epsilons(design, scale)
+        sweeps.append(CurveSpec.for_design(design, epsilons, label=label))
+    return sweep_loss_load_curves(config, sweeps, seeds=scaled_seeds(scale))
+
+
+def _controllers(
+    epsilon_of: Callable[[EndpointDesign], float],
+) -> Dict[str, ControllerSpec]:
+    """Tables 4-6's five controllers by row label: the four designs at
+    ``epsilon_of(design)``, then MBAC at target 0.9."""
+    specs: Dict[str, ControllerSpec] = {
+        design.name: design.with_epsilon(epsilon_of(design)) for design in all_designs()
+    }
+    specs["MBAC"] = MbacConfig(0.9)
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def figure1(config: FluidModelConfig = FluidModelConfig()) -> FigureResult:
 def figure2(scale: Optional[float] = None) -> FigureResult:
     """Figure 2: the four designs + MBAC on the basic scenario."""
     config = get_scenario("basic").config(scale)
-    curves = _scenario_curves(config, scale)
+    curves = _curves(config, scale, all_designs())
     text = format_curves(curves, title="Figure 2: basic scenario (EXP1, tau=3.5s)")
     return FigureResult("figure2", "Basic-scenario loss-load curves", curves, text)
 
@@ -200,19 +200,14 @@ def figure2(scale: Optional[float] = None) -> FigureResult:
 
 def figure3(scale: Optional[float] = None) -> FigureResult:
     """Figure 3: 5 s vs 25 s slow-start probing, in-band dropping."""
-    config = get_scenario("basic").config(scale)
-    seeds = scaled_seeds(scale)
     base = EndpointDesign(
         CongestionSignal.DROP, ProbeBand.IN_BAND, ProbingScheme.SLOW_START
     )
-    long_probe = replace(base, probe_duration=25.0)
-    curves = sweep_loss_load_curves(config, [
-        CurveSpec.for_mbac(bench_mbac_targets(scale)),
-        CurveSpec.for_design(base, bench_epsilons(base, scale),
-                             label="5-second probes"),
-        CurveSpec.for_design(long_probe, bench_epsilons(base, scale),
-                             label="25-second probes"),
-    ], seeds=seeds)
+    curves = _curves(
+        get_scenario("basic").config(scale), scale,
+        [base, replace(base, probe_duration=25.0)],
+        labels=["5-second probes", "25-second probes"],
+    )
     text = format_curves(curves, title="Figure 3: longer probing (in-band dropping)")
     return FigureResult("figure3", "Probe-length trade-off", curves, text)
 
@@ -230,21 +225,14 @@ _HIGH_LOAD_DESIGNS = {
 
 
 def _high_load_figure(name: str, scale: Optional[float]) -> FigureResult:
-    s = default_scale() if scale is None else scale
-    config = get_scenario("high-load").config(scale)
-    seeds = scaled_seeds(scale)
     base = _HIGH_LOAD_DESIGNS[name]
-    targets = (0.90, 1.10) if s < 0.5 else bench_mbac_targets(scale)
-    sweeps = [CurveSpec.for_mbac(targets)]
-    for scheme in (ProbingScheme.SIMPLE, ProbingScheme.SLOW_START,
-                   ProbingScheme.EARLY_REJECT):
-        design = base.with_probing(scheme)
-        if s < 0.5:
-            epsilons = (0.0, fixed_epsilon(design))
-        else:
-            epsilons = bench_epsilons(design, scale)
-        sweeps.append(CurveSpec.for_design(design, epsilons, label=scheme.value))
-    curves = sweep_loss_load_curves(config, sweeps, seeds=seeds)
+    schemes = (ProbingScheme.SIMPLE, ProbingScheme.SLOW_START,
+               ProbingScheme.EARLY_REJECT)
+    curves = _curves(
+        get_scenario("high-load").config(scale), scale,
+        [base.with_probing(scheme) for scheme in schemes],
+        labels=[scheme.value for scheme in schemes], narrow=True,
+    )
     title = (
         f"{name.capitalize()}: high load (tau=1.0s), "
         f"{base.signal.value}/{base.band.value}"
@@ -292,7 +280,7 @@ def figure8(
     blocks = []
     for panel in panels:
         scenario = get_scenario(panel)
-        curves = _scenario_curves(scenario.config(scale), scale, narrow=True)
+        curves = _curves(scenario.config(scale), scale, all_designs(), narrow=True)
         data[panel] = curves
         blocks.append(
             format_curves(
@@ -363,13 +351,13 @@ def table3(scale: Optional[float] = None) -> FigureResult:
     spec = get_source_spec("EXP1")
     rows = []
     data: Dict[str, Dict[str, float]] = {}
-    designs = list(all_designs())
+    designs = all_designs()
     pairs = []
     for design in designs:
-        high = HIGH_EPS_IN_BAND if design.band is ProbeBand.IN_BAND else HIGH_EPS_OUT_OF_BAND
         classes = (
             FlowClass(label="low-eps", spec=spec, epsilon=0.0),
-            FlowClass(label="high-eps", spec=spec, epsilon=high),
+            FlowClass(label="high-eps", spec=spec,
+                      epsilon=_BAND_EPSILONS[design.band].high),
         )
         config = ScenarioConfig(
             classes=classes, interarrival=3.5, duration=duration, warmup=warmup,
@@ -405,25 +393,14 @@ def table4(scale: Optional[float] = None) -> FigureResult:
     small_labels = ("EXP1", "EXP4", "POO1")
     rows = []
     data: Dict[str, Tuple[float, float]] = {}
-
-    def add_row(label: str, result: ReplicatedResult) -> None:
+    controllers = _controllers(fixed_epsilon)
+    results = replicate_many([(config, spec) for spec in controllers.values()], seeds)
+    for label, result in zip(controllers, results):
         small = sum(result.class_mean(s, "blocking_probability") for s in small_labels)
         small /= len(small_labels)
         large = result.class_mean("EXP2", "blocking_probability")
         data[label] = (small, large)
-        ratio = large / max(small, 1e-9)
-        rows.append([label, small, large, ratio])
-
-    designs = list(all_designs())
-    specs: List[ControllerSpec] = [
-        design.with_epsilon(fixed_epsilon(design)) for design in designs
-    ]
-    specs.append(MbacConfig(0.9))
-    labels = [design.name for design in designs] + ["MBAC"]
-    for label, result in zip(
-        labels, replicate_many([(config, spec) for spec in specs], seeds)
-    ):
-        add_row(label, result)
+        rows.append([label, small, large, large / max(small, 1e-9)])
     text = format_table(
         ("design", "small flows", "large flows", "large/small"),
         rows,
@@ -462,17 +439,6 @@ def multihop_config(scale: Optional[float] = None) -> ScenarioConfig:
     )
 
 
-def _multihop_controllers() -> Tuple[List[str], List[ControllerSpec]]:
-    """The five Tables-5/6 controllers: four designs at eps=0, plus MBAC."""
-    designs = list(all_designs())
-    labels = [design.name for design in designs] + ["MBAC"]
-    specs: List[ControllerSpec] = [
-        design.with_epsilon(0.0) for design in designs
-    ]
-    specs.append(MbacConfig(0.9))
-    return labels, specs
-
-
 def table5(scale: Optional[float] = None) -> FigureResult:
     """Table 5: data loss probability, short vs long flows at eps=0."""
     scale = _table_scale(scale)
@@ -480,10 +446,9 @@ def table5(scale: Optional[float] = None) -> FigureResult:
     seeds = scaled_seeds(scale)
     rows = []
     data: Dict[str, Dict[str, float]] = {}
-    labels, specs = _multihop_controllers()
-    for label, result in zip(
-        labels, replicate_many([(config, spec) for spec in specs], seeds)
-    ):
+    controllers = _controllers(lambda design: 0.0)
+    results = replicate_many([(config, spec) for spec in controllers.values()], seeds)
+    for label, result in zip(controllers, results):
         short = [result.class_mean(f"short{i}", "loss_probability") for i in range(3)]
         long_loss = result.class_mean("long", "loss_probability")
         mean_short = sum(short) / len(short)
@@ -504,25 +469,15 @@ def table6(scale: Optional[float] = None) -> FigureResult:
     config = multihop_config(scale)
     seeds = scaled_seeds(scale)
     rows = []
-    data: Dict[str, Dict[str, float]] = {}
-
-    def add_row(label: str, result: ReplicatedResult) -> None:
+    data: Dict[str, Dict[str, object]] = {}
+    controllers = _controllers(lambda design: 0.0)
+    results = replicate_many([(config, spec) for spec in controllers.values()], seeds)
+    for label, result in zip(controllers, results):
         shorts = [result.class_mean(f"short{i}", "blocking_probability") for i in range(3)]
         long_block = result.class_mean("long", "blocking_probability")
-        product = 1.0
-        for b in shorts:
-            product *= (1.0 - b)
-        product_block = 1.0 - product
-        data[label] = {
-            "shorts": shorts, "long": long_block, "product": product_block,
-        }
+        product_block = 1.0 - math.prod(1.0 - b for b in shorts)
+        data[label] = {"shorts": shorts, "long": long_block, "product": product_block}
         rows.append([label] + shorts + [long_block, product_block])
-
-    labels, specs = _multihop_controllers()
-    for label, result in zip(
-        labels, replicate_many([(config, spec) for spec in specs], seeds)
-    ):
-        add_row(label, result)
     text = format_table(
         ("design", "short I", "short II", "short III", "long", "product"),
         rows,
