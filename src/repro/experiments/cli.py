@@ -31,7 +31,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro import canonical
 from repro.core.design import (
     CongestionSignal,
     EndpointDesign,
@@ -44,6 +43,7 @@ from repro.experiments import cache, figures, parallel
 from repro.experiments.runner import MbacConfig, ReplicatedResult
 from repro.experiments.scenarios import SCENARIOS, get_scenario
 from repro.obs import ObsConfig
+from repro.obs.export import write_artifact
 
 #: Default directory of the persistent result cache (``--cache-dir``).
 DEFAULT_CACHE_DIR = "results/cache"
@@ -202,21 +202,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"loss={aggregate.class_mean(label, 'loss_probability'):.3e}")
         return 0
     result = parallel.run_many([(config, spec)])[0]
-    if args.trace is not None:
-        lines = result.trace or []
-        Path(args.trace).write_text("\n".join(lines) + ("\n" if lines else ""))
-        print(f"trace      : {len(lines)} records -> {args.trace}",
-              file=sys.stderr)
-    if args.metrics is not None:
-        Path(args.metrics).write_text(
-            canonical.dumps(result.metrics or {}) + "\n")
-        print(f"metrics    : -> {args.metrics}", file=sys.stderr)
-    if args.timeseries is not None:
-        Path(args.timeseries).write_text(
-            canonical.dumps(result.timeseries or {}) + "\n")
-        samples = len((result.timeseries or {}).get("t", ()))
-        print(f"timeseries : {samples} samples -> {args.timeseries}",
-              file=sys.stderr)
+    for kind, path, unit in (("trace", args.trace, "records"),
+                             ("metrics", args.metrics, None),
+                             ("timeseries", args.timeseries, "samples")):
+        if path is not None:
+            payload = getattr(result, kind) or ([] if kind == "trace" else {})
+            entry = write_artifact(Path(path), kind, payload)
+            count = f"{entry['records']} {unit} " if unit else ""
+            print(f"{kind:<11}: {count}-> {path}", file=sys.stderr)
     if getattr(args, "profile", False):
         print(tracker.summary(), file=sys.stderr)
     print(f"controller : {result.controller_name}")

@@ -72,7 +72,6 @@ from repro.errors import (
     SweepWorkerError,
 )
 from repro.experiments import cache
-from repro.experiments.report import format_progress, format_sweep_summary
 from repro.obs.export import ObsDirWriter
 from repro.obs.profile import (
     CallbackProfile,
@@ -559,9 +558,9 @@ class ProgressTracker:
     """Progress printer + timing accumulator for the CLI.
 
     Install with ``parallel.set_progress(tracker)``; each finished run
-    prints one :func:`~repro.experiments.report.format_progress` line to
-    ``stream`` (``None`` keeps it silent), and :meth:`summary` renders the
-    totals — runs computed, disk hits, compute vs. elapsed wall time.
+    prints one ``[i/N] controller seed s  ...`` line to ``stream``
+    (``None`` keeps it silent), and :meth:`summary` renders the totals —
+    runs computed, disk hits, compute vs. elapsed wall time.
     Lives in this module so that every wall-clock read stays on the
     DET002-exempt path.
     """
@@ -593,18 +592,25 @@ class ProgressTracker:
             detail = f"{event.controller} seed {event.seed}"
             if event.error:
                 detail = f"{detail}: {event.error}"
-            line = format_progress(
-                event.index, event.total, detail, event.seconds, event.source,
-            )
-            print(line, file=self.stream, flush=True)
+            if event.source == "run":
+                outcome = f"{event.seconds:.2f}s"
+            elif event.source == "disk":
+                outcome = "(disk hit)"
+            else:
+                outcome = f"({event.source})"
+            width = len(str(event.total))
+            print(f"[{event.index + 1:>{width}}/{event.total}] {detail}  {outcome}",
+                  file=self.stream, flush=True)
 
     def summary(self) -> str:
         """One-line totals for everything observed since construction."""
-        line = format_sweep_summary(
-            computed=self.computed,
-            disk_hits=self.disk_hits,
-            run_seconds=self.run_seconds,
-            elapsed_seconds=time.perf_counter() - self._started,
+        # run_seconds sums across workers, so with --jobs N it can exceed
+        # the elapsed time; the ratio is the achieved speedup.
+        elapsed = time.perf_counter() - self._started
+        line = (
+            f"{self.computed + self.disk_hits} runs: {self.computed} simulated "
+            f"({self.run_seconds:.2f}s cpu), {self.disk_hits} disk hits; "
+            f"{elapsed:.2f}s elapsed"
         )
         if self.retries or self.failures:
             line += f" ({self.retries} retries, {self.failures} failures)"

@@ -2,22 +2,14 @@
 
 The benchmark harness prints the same rows/series the paper's tables and
 figures report; these helpers keep that output consistent and readable in
-terminal logs.  Per-run progress/timing lines for the parallel sweep
-runner are rendered here too — as pure formatters: every wall-clock
-*read* stays in :mod:`repro.experiments.parallel` (the DET002-exempt
-path), this module only turns already-measured numbers into text.
-
-This module must stay import-light (no simulation imports at runtime):
-:mod:`repro.experiments.parallel` depends on it, and the loss-load module
-depends on :mod:`repro.experiments.parallel` in turn.
+terminal logs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
-if TYPE_CHECKING:  # import cycle: lossload -> parallel -> report
-    from repro.experiments.lossload import LossLoadCurve
+from repro.experiments.lossload import LossLoadCurve
 
 
 def format_table(
@@ -79,45 +71,3 @@ def format_series(
     for i, xi in enumerate(x):
         rows.append([xi] + [series[key][i] for key in series])
     return format_table(headers, rows, title=title)
-
-
-def format_progress(
-    index: int,
-    total: int,
-    label: str,
-    seconds: float,
-    source: str,
-) -> str:
-    """One per-run progress line of a sweep.
-
-    ``index`` is 0-based (rendered 1-based); ``source`` is ``"run"``,
-    ``"disk"`` (cache hit), or ``"failed"``/``"retry"`` (sweep fault
-    events); ``seconds`` is the measured compute time (0 for
-    everything but ``"run"``, whose line shows a duration).
-    """
-    width = len(str(total))
-    prefix = f"[{index + 1:>{width}}/{total}]"
-    if source == "run":
-        return f"{prefix} {label}  {seconds:.2f}s"
-    if source == "disk":
-        return f"{prefix} {label}  (disk hit)"
-    return f"{prefix} {label}  ({source})"
-
-
-def format_sweep_summary(
-    computed: int,
-    disk_hits: int,
-    run_seconds: float,
-    elapsed_seconds: float,
-) -> str:
-    """Totals line printed after a sweep: runs, disk hits, wall time.
-
-    ``run_seconds`` is summed across workers, so with ``--jobs N`` it can
-    exceed ``elapsed_seconds`` — the ratio is the achieved speedup.
-    """
-    total = computed + disk_hits
-    return (
-        f"{total} runs: {computed} simulated ({run_seconds:.2f}s cpu), "
-        f"{disk_hits} disk hits; "
-        f"{elapsed_seconds:.2f}s elapsed"
-    )

@@ -23,7 +23,8 @@ from repro.core.controller import (
 from repro.core.design import EndpointDesign
 from repro.errors import ConfigurationError
 from repro.faults import FaultConfig, install_faults
-from repro.mbac.measured_sum import MeasuredSumController
+from repro.mbac.estimator import check_sampling
+from repro.mbac.measured_sum import MeasuredSumController, check_target
 from repro.net.queues import DropTailFifo
 from repro.net.topology import Network, parking_lot, single_link
 from repro.obs.collect import collect_run
@@ -47,6 +48,14 @@ class MbacConfig:
     target_utilization: float = 0.9
     sample_period: float = 0.1
     window_samples: int = 10
+
+    def __post_init__(self) -> None:
+        # Checked here as well as where the controller and its estimators
+        # are built, so a bad spec fails before any event is scheduled: the
+        # controller is built after the fault plan, and each estimator only
+        # on its port's first request.
+        check_target(self.target_utilization)
+        check_sampling(self.sample_period, self.window_samples)
 
     @property
     def name(self) -> str:
@@ -98,6 +107,10 @@ class ScenarioConfig:
         if self.topology not in ("single", "parking-lot"):
             raise ConfigurationError(
                 f"unknown topology {self.topology!r}; use 'single' or 'parking-lot'"
+            )
+        if not (math.isfinite(self.prefill_fraction) and self.prefill_fraction >= 0):
+            raise ConfigurationError(
+                f"prefill_fraction must be finite and >= 0, got {self.prefill_fraction!r}"
             )
         if self.classes is not None and not isinstance(self.classes, tuple):
             # Freeze so a frozen config is really immutable (and hashable).

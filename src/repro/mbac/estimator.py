@@ -10,6 +10,7 @@ burst of simultaneous requests cannot all be admitted against the same
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Optional
 
@@ -17,6 +18,18 @@ from repro.errors import ConfigurationError
 from repro.net.link import OutputPort
 from repro.sim.engine import Simulator, TraceSink
 from repro.units import BITS_PER_BYTE
+
+
+def check_sampling(sample_period: float, window_samples: int) -> None:
+    """Reject a sampling plan an estimator cannot run."""
+    if not (math.isfinite(sample_period) and sample_period > 0):
+        raise ConfigurationError(
+            f"sample period must be positive and finite, got {sample_period!r}"
+        )
+    if window_samples < 1:
+        raise ConfigurationError(
+            f"need at least one window sample, got {window_samples!r}"
+        )
 
 
 class TimeWindowEstimator:
@@ -45,14 +58,7 @@ class TimeWindowEstimator:
         window_samples: int = 10,
         trace: Optional[TraceSink] = None,
     ) -> None:
-        if sample_period <= 0:
-            raise ConfigurationError(
-                f"sample period must be positive, got {sample_period!r}"
-            )
-        if window_samples < 1:
-            raise ConfigurationError(
-                f"need at least one window sample, got {window_samples!r}"
-            )
+        check_sampling(sample_period, window_samples)
         self.sim = sim
         self.port = port
         self.sample_period = sample_period

@@ -32,6 +32,14 @@ from repro.sim.rng import RandomStreams
 from repro.traffic.flowgen import FlowRequest
 
 
+def check_target(target_utilization: float) -> None:
+    """Reject a target utilization outside (0, 1.5]."""
+    if not 0 < target_utilization <= 1.5:
+        raise ConfigurationError(
+            f"target utilization must be in (0, 1.5], got {target_utilization!r}"
+        )
+
+
 class MeasuredSumController(ControllerBase):
     """Per-hop Measured Sum admission control.
 
@@ -53,10 +61,7 @@ class MeasuredSumController(ControllerBase):
         sample_period: float = 0.1,
         window_samples: int = 10,
     ) -> None:
-        if not 0 < target_utilization <= 1.5:
-            raise ConfigurationError(
-                f"target utilization must be in (0, 1.5], got {target_utilization!r}"
-            )
+        check_target(target_utilization)
         super().__init__(sim, network, streams)
         self.target_utilization = target_utilization
         self.sample_period = sample_period

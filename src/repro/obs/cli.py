@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.obs.export import encode_artifact, write_artifact
 from repro.obs.merge import merge_files
 from repro.obs.spans import (
     assemble_spans,
@@ -332,13 +333,12 @@ def run_merge(paths: List[str], output: Optional[str] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = "\n".join(merged) + ("\n" if merged else "")
     if output is not None:
-        Path(output).write_text(text)
+        write_artifact(Path(output), "trace", merged)
         print(f"merged {len(paths)} stream(s), {len(merged)} records -> {output}",
               file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(encode_artifact("trace", merged))
     return 0
 
 

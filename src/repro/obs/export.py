@@ -10,9 +10,11 @@ timestamps**, so two sweeps of the same task list produce byte-identical
 directories (the CI obs-smoke job compares a serial and a ``--jobs 4``
 sweep with ``cmp``).
 
-Writes are atomic (:func:`repro.canonical.atomic_write_text`) so a
-crashed sweep never leaves a truncated artifact; a re-run simply
-overwrites.
+:func:`write_artifact` writes every run artifact in one encoding; the
+``repro-eac run --trace/--metrics/--timeseries PATH`` flags and
+``python -m repro.obs merge -o`` write through it too.  Writes are atomic
+(:func:`repro.canonical.atomic_write_text`) so a crash never leaves a
+truncated artifact; a re-run simply overwrites.
 """
 
 from __future__ import annotations
@@ -25,6 +27,45 @@ from repro import canonical
 
 #: Manifest payload version.
 MANIFEST_SCHEMA_VERSION = 1
+
+#: File suffix of each artifact kind a run can carry.
+_SUFFIXES = {
+    "trace": "trace.jsonl",
+    "metrics": "metrics.json",
+    "timeseries": "timeseries.json",
+}
+
+
+def encode_artifact(kind: str, payload: Any) -> str:
+    """The canonical file text of one run artifact.
+
+    A trace (a list of JSONL records) is one record per line; a metrics
+    snapshot or time series is one canonical JSON line.
+    """
+    if kind == "trace":
+        return "".join(line + "\n" for line in payload)
+    return canonical.dumps(payload) + "\n"
+
+
+def write_artifact(path: Path, kind: str, payload: Any) -> Dict[str, Any]:
+    """Atomically write one run artifact; returns its manifest entry.
+
+    The entry holds the file name, SHA-256, byte count and, for a trace
+    or time series, the record count.
+    """
+    text = encode_artifact(kind, payload)
+    canonical.atomic_write_text(path, text)
+    data = text.encode()
+    entry: Dict[str, Any] = {
+        "path": path.name,
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "bytes": len(data),
+    }
+    if kind == "trace":
+        entry["records"] = len(payload)
+    elif kind == "timeseries":
+        entry["records"] = len(payload.get("t", ()))
+    return entry
 
 
 def sanitize_name(text: str) -> str:
@@ -72,23 +113,11 @@ class ObsDirWriter:
         """Write one run's artifacts; returns the run's basename."""
         name = self.run_name(index, controller_name, seed)
         files: Dict[str, Dict[str, Any]] = {}
-        if trace is not None:
-            filename = f"{name}.trace.jsonl"
-            data = "\n".join(trace) + ("\n" if trace else "")
-            canonical.atomic_write_text(self.directory / filename, data)
-            files["trace"] = self._entry(filename, data, records=len(trace))
-        if metrics is not None:
-            filename = f"{name}.metrics.json"
-            data = canonical.dumps(metrics) + "\n"
-            canonical.atomic_write_text(self.directory / filename, data)
-            files["metrics"] = self._entry(filename, data)
-        if timeseries is not None:
-            filename = f"{name}.timeseries.json"
-            data = canonical.dumps(timeseries) + "\n"
-            canonical.atomic_write_text(self.directory / filename, data)
-            files["timeseries"] = self._entry(
-                filename, data, records=len(timeseries.get("t", ()))
-            )
+        payloads = {"trace": trace, "metrics": metrics, "timeseries": timeseries}
+        for kind, payload in payloads.items():
+            if payload is not None:
+                path = self.directory / f"{name}.{_SUFFIXES[kind]}"
+                files[kind] = write_artifact(path, kind, payload)
         self._runs.append({
             "index": index,
             "name": name,
@@ -97,18 +126,6 @@ class ObsDirWriter:
             "files": files,
         })
         return name
-
-    @staticmethod
-    def _entry(filename: str, data: str,
-               records: Optional[int] = None) -> Dict[str, Any]:
-        entry: Dict[str, Any] = {
-            "path": filename,
-            "sha256": hashlib.sha256(data.encode()).hexdigest(),
-            "bytes": len(data.encode()),
-        }
-        if records is not None:
-            entry["records"] = records
-        return entry
 
     def write_manifest(self) -> Path:
         """Write the canonical ``manifest.json``; returns its path.

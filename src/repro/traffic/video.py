@@ -15,13 +15,15 @@ experiment actually exercises:
   bucket genuinely clips the biggest bursts, exactly as the paper's
   reshaping does.
 
-Both a standalone trace generator (for tests and statistics) and a
-simulator-driven source are provided.
+One frame process (:meth:`VideoTraceModel.frames`) serves both the
+standalone trace generator (for tests and statistics) and the
+simulator-driven source.
 """
 
 from __future__ import annotations
 
-from typing import List
+from itertools import islice
+from typing import Iterator, List
 
 import numpy as np
 import numpy.typing as npt
@@ -79,32 +81,38 @@ class VideoTraceModel:
         # gamma with mean 1.  So base absorbs only the GOP multiplier.
         self.base_frame_bytes = mean_frame_bytes / _MEAN_MULTIPLIER
 
-    def generate_frames(
-        self, rng: np.random.Generator, n_frames: int
-    ) -> npt.NDArray[np.float64]:
-        """Return ``n_frames`` frame sizes in bytes (unshaped)."""
-        if n_frames <= 0:
-            raise ConfigurationError(f"need n_frames > 0, got {n_frames!r}")
-        sizes = np.empty(n_frames, dtype=np.float64)
+    def frames(self, rng: np.random.Generator) -> Iterator[float]:
+        """The endless frame-size process (bytes, unshaped), drawn lazily.
+
+        Each scene draws its length and activity level when its first
+        frame is taken, then one noise factor per frame, so the draws
+        interleave with whatever else shares ``rng`` exactly as frames
+        are consumed.
+        """
         mu = -0.5 * self.activity_sigma**2
         xm = self.scene_mean_s * (self.scene_shape - 1.0) / self.scene_shape
-        i = 0
-        while i < n_frames:
+        index = 0
+        while True:
             # Scene duration (frames) from a Pareto law — the heavy tail is
             # what produces long-range dependence in the aggregate.
             u = max(rng.random(), 1e-12)
             scene_s = xm * u ** (-1.0 / self.scene_shape)
-            scene_frames = max(1, int(round(scene_s * FRAME_RATE)))
             activity = float(rng.lognormal(mu, self.activity_sigma))
-            end = min(n_frames, i + scene_frames)
-            count = end - i
-            noise = rng.gamma(self.frame_noise_shape, 1.0 / self.frame_noise_shape, count)
-            multipliers = np.array(
-                [FRAME_MULTIPLIER[GOP_PATTERN[(i + k) % len(GOP_PATTERN)]] for k in range(count)]
-            )
-            sizes[i:end] = self.base_frame_bytes * activity * multipliers * noise
-            i = end
-        return np.maximum(sizes, 1.0)
+            for __ in range(max(1, int(round(scene_s * FRAME_RATE)))):
+                noise = float(
+                    rng.gamma(self.frame_noise_shape, 1.0 / self.frame_noise_shape)
+                )
+                multiplier = FRAME_MULTIPLIER[GOP_PATTERN[index % len(GOP_PATTERN)]]
+                index += 1
+                yield max(self.base_frame_bytes * activity * multiplier * noise, 1.0)
+
+    def generate_frames(
+        self, rng: np.random.Generator, n_frames: int
+    ) -> npt.NDArray[np.float64]:
+        """Return the first ``n_frames`` frame sizes of :meth:`frames`."""
+        if n_frames <= 0:
+            raise ConfigurationError(f"need n_frames > 0, got {n_frames!r}")
+        return np.fromiter(islice(self.frames(rng), n_frames), np.float64, n_frames)
 
 
 class SyntheticVideoSource(Source):
@@ -132,36 +140,13 @@ class SyntheticVideoSource(Source):
         prio: int = PRIO_DATA,
     ) -> None:
         super().__init__(sim, route, sink, flow, packet_bytes, kind, prio)
-        self.rng = rng
         self.model = model if model is not None else VideoTraceModel()
         self.bucket = TokenBucket(token_rate_bps, token_bucket_bytes)
+        self._frames = self.model.frames(rng)
         self._frame_interval = 1.0 / FRAME_RATE
-        self._frame_index = 0
-        self._scene_frames_left = 0
-        self._activity = 1.0
         self._epoch = 0
         self.frames_emitted = 0
         self.shaped_packets = 0
-
-    # -- scene/frame process ------------------------------------------------
-
-    def _next_frame_bytes(self) -> float:
-        model = self.model
-        if self._scene_frames_left <= 0:
-            u = max(self.rng.random(), 1e-12)
-            xm = model.scene_mean_s * (model.scene_shape - 1.0) / model.scene_shape
-            scene_s = xm * u ** (-1.0 / model.scene_shape)
-            self._scene_frames_left = max(1, int(round(scene_s * FRAME_RATE)))
-            mu = -0.5 * model.activity_sigma**2
-            self._activity = float(self.rng.lognormal(mu, model.activity_sigma))
-        self._scene_frames_left -= 1
-        frame_type = GOP_PATTERN[self._frame_index % len(GOP_PATTERN)]
-        self._frame_index += 1
-        noise = float(
-            self.rng.gamma(model.frame_noise_shape, 1.0 / model.frame_noise_shape)
-        )
-        size = model.base_frame_bytes * self._activity * FRAME_MULTIPLIER[frame_type] * noise
-        return max(size, 1.0)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -177,7 +162,7 @@ class SyntheticVideoSource(Source):
     def _frame_tick(self, epoch: int) -> None:
         if not self.running or epoch != self._epoch:
             return
-        frame_bytes = self._next_frame_bytes()
+        frame_bytes = next(self._frames)
         self.frames_emitted += 1
         n_packets = max(1, int(np.ceil(frame_bytes / self.packet_bytes)))
         spacing = self._frame_interval / n_packets

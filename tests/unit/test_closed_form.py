@@ -10,15 +10,19 @@ that disagrees is a finding for EXPERIMENTS.md "Known gaps".
 from __future__ import annotations
 
 import math
-from typing import List
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 import pytest
 from scipy import stats
 
-from repro.net.packet import FlowAccounting
+from repro.net.packet import FlowAccounting, Packet
+from repro.net.sink import Sink
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.traffic.video import SyntheticVideoSource, VideoTraceModel
 
 from tests.conftest import make_link, make_packet
 
@@ -28,15 +32,15 @@ BUFFER = 4  # FIFO capacity in packets
 SERVICE_S = 1e-3  # 125 bytes at 1 Mb/s
 
 
-def md1k_blocking(rho: float, k: int) -> float:
-    """Blocking probability of M/D/1/K (system size ``k``, unit service).
+def md1k_occupancy(rho: float, k: int) -> npt.NDArray[np.float64]:
+    """Time-average law of the number in an M/D/1/K system (size ``k``,
+    unit service), as ``p[0..k]``.
 
     The number left behind at departure epochs is a Markov chain on
     ``0 .. k-1`` whose steps are the Poisson(``rho``) arrivals during one
     service, capped by the full system.  With ``pi`` its stationary law,
-    the time-average probability of a full system is ``1 - 1/(pi0 + rho)``
-    (Gross & Harris, M/G/1/K), and by PASTA that is the blocking
-    probability.
+    ``p[n] = pi[n] / (pi0 + rho)`` for ``n < k`` and the full system has
+    ``p[k] = 1 - 1/(pi0 + rho)`` (Gross & Harris, M/G/1/K).
     """
     arrivals = [math.exp(-rho)]
     for n in range(1, k):
@@ -49,11 +53,31 @@ def md1k_blocking(rho: float, k: int) -> float:
         chain[i, k - 1] = 1.0 - chain[i, : k - 1].sum()
     balance = np.vstack([(chain.T - np.eye(k))[:-1], np.ones(k)])
     pi = np.linalg.solve(balance, np.eye(k)[-1])
-    return 1.0 - 1.0 / (pi[0] + rho)
+    return np.append(pi / (pi[0] + rho), 1.0 - 1.0 / (pi[0] + rho))
 
 
-def measured_loss(rho: float, seed: int) -> float:
-    """Loss fraction of Poisson arrivals of 125-byte packets at load ``rho``."""
+def md1k_blocking(rho: float, k: int) -> float:
+    """Blocking probability of M/D/1/K: by PASTA, the time-average
+    probability of a full system."""
+    return float(md1k_occupancy(rho, k)[-1])
+
+
+def md1k_mean_number(rho: float, k: int) -> float:
+    """Mean number in an M/D/1/K system, queued plus in service."""
+    p = md1k_occupancy(rho, k)
+    return float(np.arange(k + 1) @ p)
+
+
+@lru_cache(maxsize=None)
+def measured_md1k(rho: float, seed: int) -> Tuple[float, float]:
+    """(loss fraction, mean number in system) of Poisson arrivals of
+    125-byte packets at load ``rho``.
+
+    The mean number comes through Little's law from what the bare port
+    records: ``L = lambda (1 - loss) W``, with ``lambda = rho / S`` and
+    ``W`` the sink's mean delay of the packets that got in (the port has
+    no propagation delay, so that delay is queueing plus service).
+    """
     sim = Simulator()
     port, sink = make_link(sim, rate_bps=1e6, capacity=BUFFER)
     flow = FlowAccounting(1)
@@ -61,7 +85,7 @@ def measured_loss(rho: float, seed: int) -> float:
     gaps = iter(rng.exponential(SERVICE_S / rho, ARRIVALS).tolist())
 
     def arrive() -> None:
-        port.send(make_packet(flow, [port], sink))
+        port.send(make_packet(flow, [port], sink, created=sim.now))
         gap = next(gaps, None)
         if gap is not None:
             sim.call(gap, arrive)
@@ -69,7 +93,17 @@ def measured_loss(rho: float, seed: int) -> float:
     sim.call(next(gaps), arrive)
     sim.run()
     qdisc = port.qdisc
-    return qdisc.drops / (qdisc.drops + qdisc.enqueued)
+    loss = qdisc.drops / (qdisc.drops + qdisc.enqueued)
+    return loss, rho / SERVICE_S * (1.0 - loss) * sink.mean_latency
+
+
+def t_interval(samples: Sequence[float]) -> Tuple[float, float]:
+    """Mean and 99 % Student-t half-width over independent seeds."""
+    half_width = (
+        stats.t.ppf(0.995, len(samples) - 1)
+        * float(np.std(samples, ddof=1)) / math.sqrt(len(samples))
+    )
+    return float(np.mean(samples)), half_width
 
 
 def test_md1k_chain_limits() -> None:
@@ -85,13 +119,69 @@ def test_drop_tail_fifo_matches_md1k_loss(rho: float) -> None:
     # The port dequeues a packet when its serialisation starts, so the
     # system holds the FIFO's packets plus the one in service.
     expected = md1k_blocking(rho, BUFFER + 1)
-    losses: List[float] = [measured_loss(rho, seed) for seed in SEEDS]
-    mean = float(np.mean(losses))
-    half_width = (
-        stats.t.ppf(0.995, len(losses) - 1)
-        * float(np.std(losses, ddof=1)) / math.sqrt(len(losses))
-    )
+    mean, half_width = t_interval([measured_md1k(rho, seed)[0] for seed in SEEDS])
     assert abs(mean - expected) <= half_width, (
         f"rho={rho}: measured {mean:.5f} +- {half_width:.5f}, "
         f"M/D/1/{BUFFER + 1} {expected:.5f}"
     )
+
+
+def test_md1k_mean_number_limits() -> None:
+    # M/D/1/1 holds one packet a fraction rho / (1 + rho) of the time.
+    assert md1k_mean_number(0.8, 1) == pytest.approx(0.8 / 1.8)
+    # Overloaded by rho with a deep buffer, the system sits near full.
+    assert md1k_mean_number(1.2, 200) > 190
+
+
+@pytest.mark.parametrize("rho", [0.8, 1.2])
+def test_drop_tail_fifo_matches_md1k_mean_number(rho: float) -> None:
+    expected = md1k_mean_number(rho, BUFFER + 1)
+    mean, half_width = t_interval([measured_md1k(rho, seed)[1] for seed in SEEDS])
+    assert abs(mean - expected) <= half_width, (
+        f"rho={rho}: measured L {mean:.4f} +- {half_width:.4f}, "
+        f"M/D/1/{BUFFER + 1} {expected:.4f}"
+    )
+
+
+def emitted_packets(seed: int, horizon: float) -> Tuple[List[Tuple[float, int]], int]:
+    """(created, size) of every packet a video source emits, read at the
+    sink of a port fast enough to lose none, plus the packets its token
+    bucket discarded.  The movie runs hotter (900 kb/s mean) than the
+    catalog's so the default (800 kb/s, 25 kB) bucket binds."""
+    sim = Simulator()
+    port, _ = make_link(sim, rate_bps=100e6, capacity=100_000)
+    emitted: List[Tuple[float, int]] = []
+
+    def record(pkt: Packet) -> None:
+        emitted.append((pkt.created, pkt.size))
+
+    sink = Sink(sim, on_receive=record)
+    rng = RandomStreams(seed).get("video")
+    source = SyntheticVideoSource(sim, [port], sink, FlowAccounting(1), rng,
+                                  model=VideoTraceModel(mean_rate_bps=900e3))
+    source.start()
+    sim.run(until=horizon)
+    source.stop()
+    return emitted, source.shaped_packets
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_video_source_conforms_to_its_token_bucket(seed: int) -> None:
+    """In every window [t_i, t_j], emitted bytes <= b + r (t_j - t_i).
+
+    With prefix sums ``S`` and ``A_j = S_j - r t_j``, ``B_i = S_(i-1) -
+    r t_i``, the worst window ending at ``j`` exceeds ``r (t_j - t_i)`` by
+    ``A_j - min(B_i for i <= j)``, so one pass checks all O(n^2) windows.
+    """
+    emitted, shaped = emitted_packets(seed, horizon=120.0)
+    assert shaped > 0, "the bucket never clipped: the bound is not exercised"
+    created = np.array([t for t, _ in emitted])
+    sizes = np.array([size for _, size in emitted], dtype=np.float64)
+    rate = 800e3 / 8  # the source's default (800 kb/s, 25 kB) bucket
+    depth = 25_000
+    totals = np.cumsum(sizes)
+    ends = totals - rate * created
+    starts = np.minimum.accumulate(totals - sizes - rate * created)
+    excess = float(np.max(ends - starts))
+    # The slack absorbs float rounding in the bucket's token arithmetic.
+    assert excess <= depth + 1e-6, f"window exceeds b + rt by {excess - depth:.3f} B"

@@ -24,6 +24,7 @@ from repro.errors import ReproError
 from repro.experiments import cache, cli, parallel
 from repro.experiments.runner import ScenarioConfig
 from repro.obs import ObsConfig, ObsDirWriter, TraceRecorder
+from repro.obs import cli as obs_cli
 from repro.obs.export import sanitize_name
 from repro.obs.merge import merge_streams
 from repro.units import mbps
@@ -71,6 +72,66 @@ class TestObsDirDoesNotLeak:
         before = _dir_bytes(cli_dir)
         parallel.run_many([(fast_config(2), DESIGN)], jobs=1)
         assert _dir_bytes(cli_dir) == before
+
+
+def _cli_run(monkeypatch, *flags):
+    """``repro-eac run`` with the CLI's own flags but a small task."""
+    real_run_many = parallel.run_many
+    monkeypatch.setattr(
+        parallel, "run_many",
+        lambda tasks, **kw: real_run_many([(fast_config(1), DESIGN)], **kw),
+    )
+    return cli.main(["run", "basic", "--design", "drop/in-band",
+                     "--no-cache", *flags])
+
+
+def _torn_write_text(monkeypatch):
+    """Make ``Path.write_text`` write half its text, then fail."""
+    real_write_text = Path.write_text
+
+    def torn(self, data, *args, **kwargs):
+        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn)
+
+
+class TestPerFileArtifacts:
+    """``run --trace/--metrics/--timeseries PATH`` and ``merge -o`` write
+    the ``--obs-dir`` encoding, and a failed write leaves no file."""
+
+    def test_per_file_outputs_equal_obs_dir_files(self, tmp_path, monkeypatch):
+        obs_dir = tmp_path / "obs"
+        assert _cli_run(monkeypatch,
+                        "--trace", str(tmp_path / "run.trace.jsonl"),
+                        "--metrics", str(tmp_path / "run.metrics.json"),
+                        "--timeseries", str(tmp_path / "run.timeseries.json"),
+                        "--obs-dir", str(obs_dir)) == 0
+        for suffix in ("trace.jsonl", "metrics.json", "timeseries.json"):
+            per_file = (tmp_path / f"run.{suffix}").read_bytes()
+            exported = (obs_dir / f"0000-drop-in-band-slow-start-s1.{suffix}")
+            assert len(per_file) > 2, suffix
+            assert per_file == exported.read_bytes(), suffix
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics", "--timeseries"])
+    def test_failed_run_write_leaves_no_file(self, tmp_path, monkeypatch,
+                                             flag):
+        target = tmp_path / "out" / "artifact"
+        target.parent.mkdir()
+        _torn_write_text(monkeypatch)
+        with pytest.raises(OSError):
+            _cli_run(monkeypatch, flag, str(target))
+        assert list(target.parent.iterdir()) == []
+
+    def test_failed_merge_write_leaves_no_file(self, tmp_path, monkeypatch):
+        source = tmp_path / "a.jsonl"
+        source.write_text("\n".join(_trace_lines("a", EVENTS)) + "\n")
+        target = tmp_path / "out" / "merged.jsonl"
+        target.parent.mkdir()
+        _torn_write_text(monkeypatch)
+        with pytest.raises(OSError):
+            obs_cli.run_merge([str(source)], str(target))
+        assert list(target.parent.iterdir()) == []
 
 
 class TestSanitizeName:

@@ -23,6 +23,29 @@ def test_config_validation():
         ScenarioConfig(topology="ring")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MbacConfig(target_utilization=0.0),
+    lambda: MbacConfig(target_utilization=1.6),
+    lambda: MbacConfig(target_utilization=float("nan")),
+    lambda: MbacConfig(sample_period=0.0),
+    lambda: MbacConfig(sample_period=-0.1),
+    lambda: MbacConfig(sample_period=float("nan")),
+    lambda: MbacConfig(sample_period=float("inf")),
+    lambda: MbacConfig(window_samples=0),
+    lambda: ScenarioConfig(prefill_fraction=-1.0),
+    lambda: ScenarioConfig(prefill_fraction=float("nan")),
+    lambda: ScenarioConfig(prefill_fraction=float("inf")),
+], ids=[
+    "target-zero", "target-above-1.5", "target-nan", "period-zero",
+    "period-negative", "period-nan", "period-inf", "no-window-samples",
+    "prefill-negative", "prefill-nan", "prefill-inf",
+])
+def test_bad_mbac_and_prefill_input_fails_at_construction(build):
+    """Rejected when the spec is built, not when the first flow arrives."""
+    with pytest.raises(ConfigurationError):
+        build()
+
+
 def test_config_freezes_classes_for_hashability():
     spec = get_source_spec("EXP1")
     config = ScenarioConfig(classes=[FlowClass(label="x", spec=spec)], **FAST)
