@@ -23,6 +23,7 @@ from unittest import mock
 
 from repro.core.design import CongestionSignal, EndpointDesign, ProbeBand, ProbingScheme
 from repro.experiments import cache
+from repro.experiments.figures import multihop_config
 from repro.experiments.runner import (
     ControllerSpec,
     MbacConfig,
@@ -50,7 +51,10 @@ DESIGN = EndpointDesign(
 #: boundary once lived unpinned.  The two ``*-metrics`` variants pin
 #: the end-of-run metrics snapshot byte for byte: the flaky one carries the
 #: fault, trace, port, class and probe-fraction series (its trace capped
-#: so the fixture stays small), the MBAC one the estimator series.
+#: so the fixture stays small), the MBAC one the estimator series.  The
+#: ten points above are all single-link; ``multihop-mbac`` is the Tables
+#: 5-6 parking lot under MBAC(0.9), shortened to a few seconds of replay,
+#: and pins the path where several ports serialize at once.
 VARIANTS: Dict[str, Tuple[str, ControllerSpec, Optional[ObsConfig]]] = {
     "mbac": ("basic", MbacConfig(0.9), None),
     "timeseries": (
@@ -63,15 +67,25 @@ VARIANTS: Dict[str, Tuple[str, ControllerSpec, Optional[ObsConfig]]] = {
     "mbac-metrics": (
         "basic", MbacConfig(0.9), ObsConfig(metrics=True, trace=False)
     ),
+    "multihop-mbac": (
+        "multihop", MbacConfig(0.9), ObsConfig(metrics=True, trace=False)
+    ),
 }
+
+
+def _config(scenario: str, seed: int) -> ScenarioConfig:
+    """A catalog scenario at :data:`SCALE`, or the shortened parking lot."""
+    if scenario == "multihop":
+        return replace(
+            multihop_config(SCALE), warmup=5.0, duration=16.0, seed=seed
+        )
+    return get_scenario(scenario).config(scale=SCALE, seed=seed)
 
 
 def task(point: Dict[str, Any]) -> Tuple[ScenarioConfig, ControllerSpec]:
     """The (config, controller spec) a fixture point pins."""
     _, spec, obs = VARIANTS.get(point.get("variant"), ("basic", DESIGN, None))
-    config = get_scenario(point["scenario"]).config(
-        scale=SCALE, seed=point["seed"]
-    )
+    config = _config(point["scenario"], point["seed"])
     return replace(config, obs=obs), spec
 
 

@@ -1,8 +1,8 @@
 """Golden byte-identity: the fast path must be behaviour-invisible.
 
 The fixture ``tests/fixtures/golden_scenarios.json`` pins, for a small
-matrix of (scenario, seed) points plus the MBAC, time-series and
-metrics-snapshot variants (``tests/fixtures/generate_golden.py`` defines
+matrix of (scenario, seed) points plus the MBAC, time-series,
+metrics-snapshot and parking-lot variants (``tests/fixtures/generate_golden.py`` defines
 them), the exact
 ScenarioResult payload and the cache ``run_key`` produced by the
 reference implementation (with the code fingerprint pinned to a constant
@@ -80,10 +80,10 @@ def _replay(point: Dict[str, Any]) -> Tuple[ScenarioResult, str]:
 def test_fixture_is_well_formed() -> None:
     assert _GOLDEN["design"] == "drop/in-band/slow-start"
     assert _GOLDEN["scale"] == SCALE
-    assert len(_GOLDEN["points"]) == 10
+    assert len(_GOLDEN["points"]) == 11
     scenarios = {p["scenario"] for p in _GOLDEN["points"]}
-    assert scenarios == {"basic", "high-load-flaky", "basic-flaky"}
-    assert len({p["run_key"] for p in _GOLDEN["points"]}) == 10
+    assert scenarios == {"basic", "high-load-flaky", "basic-flaky", "multihop"}
+    assert len({p["run_key"] for p in _GOLDEN["points"]}) == 11
     assert [p.get("variant") for p in _GOLDEN["points"]] == [None] * 6 + list(VARIANTS)
 
 
@@ -102,7 +102,7 @@ def _values(series: List[Dict[str, Any]]) -> Dict[Tuple[Any, ...], Any]:
 
 
 def test_variants_exercise_what_they_pin() -> None:
-    mbac, sampled, flaky, mbac_metrics = _GOLDEN["points"][6:]
+    mbac, sampled, flaky, mbac_metrics, multihop = _GOLDEN["points"][6:]
     assert mbac["result"]["controller_name"] == "mbac(u=0.9)"
     series = sampled["result"]["timeseries"]["series"]["port:src->dst:util"]
     times = sampled["result"]["timeseries"]["t"]
@@ -121,6 +121,20 @@ def test_variants_exercise_what_they_pin() -> None:
     metrics = mbac_metrics["result"]["metrics"]
     assert _values(metrics["counters"])["mbac_samples", "src->dst"] > 0
     assert ("mbac_estimate_bps", "src->dst") in _values(metrics["gauges"])
+
+    # The parking lot: three congested backbone links, the long class
+    # crossing all of them, and an estimator on every port.
+    result = multihop["result"]
+    assert result["controller_name"] == "mbac(u=0.9)"
+    assert len(result["per_link_utilization"]) == 3
+    assert all(u > 0.3 for u in result["per_link_utilization"])
+    assert set(result["per_class"]) == {"long", "short0", "short1", "short2"}
+    samples = {
+        key[1]: value for key, value in _values(result["metrics"]["counters"]).items()
+        if key[0] == "mbac_samples"
+    }
+    assert {"b0->b1", "b1->b2", "b2->b3"} <= set(samples)
+    assert all(n > 0 for n in samples.values())
 
 
 @pytest.mark.parametrize("point", _POINTS)
