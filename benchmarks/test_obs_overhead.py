@@ -32,6 +32,7 @@ def _run_datapath(recorder):
     sim = Simulator(strict=False)
     port = OutputPort(sim, 1e9, DropTailFifo(_PACKETS + 1), 0.0)
     port.trace = recorder
+    port.tx_trace = recorder
     sink = Sink(sim)
     flow = FlowAccounting(1)
     route = [port]

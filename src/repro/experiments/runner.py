@@ -283,8 +283,10 @@ def run_scenario(
         )
 
     if recorder is not None:
+        tx_trace = recorder if recorder.keeps("tx") else None
         for port in network.ports():
             port.trace = recorder
+            port.tx_trace = tx_trace
 
     fault_schedule = None
     if config.faults is not None and config.faults.any_enabled:

@@ -109,7 +109,8 @@ class OutputPort:
 
     __slots__ = ("sim", "rate_bps", "qdisc", "prop_delay", "name", "busy",
                  "stats", "_tx_per_byte", "enabled", "capacity_factor",
-                 "loss_model", "fault_drops", "trace", "_wire")
+                 "loss_model", "fault_drops", "trace", "tx_trace", "_wire",
+                 "_idle_hook")
 
     def __init__(
         self,
@@ -128,6 +129,10 @@ class OutputPort:
         self.sim = sim
         self.rate_bps = rate_bps
         self.qdisc = qdisc
+        # A virtual queue is told when the transmitter idles (see _start_next).
+        self._idle_hook: Optional[Callable[[float], None]] = getattr(
+            qdisc, "note_idle", None
+        )
         self.prop_delay = prop_delay
         self.name = name
         self.busy = False
@@ -148,6 +153,8 @@ class OutputPort:
         # Optional structural trace sink (repro.obs); ``None`` costs one
         # attribute check on the paths that would emit, nothing elsewhere.
         self.trace: Optional[TraceSink] = None
+        # Per-packet ``tx`` records: set only if the recorder keeps them.
+        self.tx_trace: Optional[TraceSink] = None
 
     # -- datapath ---------------------------------------------------------
 
@@ -191,17 +198,17 @@ class OutputPort:
                         port=self.name, kind=kind, flow=pkt.flow.flow_id)
 
     def _start_next(self) -> None:
+        # Every serialization takes the engine's chain slot: a port's next
+        # completion is usually the next event due, so it skips the heap.
         pkt = self.qdisc.dequeue()
         if pkt is None:
             self.busy = False
-            idle_hook: Optional[Callable[[float], None]] = getattr(
-                self.qdisc, "note_idle", None
-            )
+            idle_hook = self._idle_hook
             if idle_hook is not None:
                 idle_hook(self.sim.now)
             return
         self.busy = True
-        self.sim.call(pkt.size * self._tx_per_byte, self._tx_done, pkt)
+        self.sim.call_chained(pkt.size * self._tx_per_byte, self._tx_done, pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
         if not self.enabled:
@@ -228,7 +235,7 @@ class OutputPort:
             stats.be_bytes += pkt.size
         else:
             stats.other_bytes += pkt.size
-        tr = self.trace
+        tr = self.tx_trace
         if tr is not None:
             # Per-packet completions are the one genuinely high-rate
             # category; sample it (ObsConfig.sample_every) in real runs.
@@ -245,24 +252,9 @@ class OutputPort:
             wire.call(target, pkt)
         else:
             target(pkt)
-        # Self-clocked transmit chain: while the backlog lasts, the next
-        # serialization is scheduled from inside this completion through
-        # the engine's chain slot — one heap operation per busy period,
-        # not per packet.  Order matters for determinism: the delivery
-        # above must see the queue state *before* the next dequeue, and
-        # the chained event takes the same seq a sim.call here would.
-        next_pkt = self.qdisc.dequeue()
-        if next_pkt is None:
-            self.busy = False
-            idle_hook: Optional[Callable[[float], None]] = getattr(
-                self.qdisc, "note_idle", None
-            )
-            if idle_hook is not None:
-                idle_hook(self.sim.now)
-            return
-        self.sim.call_chained(
-            next_pkt.size * self._tx_per_byte, self._tx_done, next_pkt
-        )
+        # Order matters for determinism: the delivery above must see the
+        # queue state *before* the next dequeue.
+        self._start_next()
 
     # -- fault injection ---------------------------------------------------
 

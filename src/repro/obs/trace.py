@@ -68,6 +68,14 @@ class TraceRecorder:
         #: Emissions lost to the ``max_records`` cap (post-sampling).
         self.dropped = 0
 
+    def keeps(self, category: str) -> bool:
+        """Whether the category filter lets ``category`` through.
+
+        An emitter may skip a call this returns False for: a filtered
+        category advances no counter, so the recorder cannot tell.
+        """
+        return not self.categories or category in self.categories
+
     def emit(self, category: str, t: float, /, **fields: object) -> None:
         """Record one event at sim time ``t``.
 

@@ -75,13 +75,8 @@ class Source:
         flow.bytes_sent += nbytes
         self._seq += 1
         pkt = flow.acquire(
-            nbytes,
-            self.kind,
-            self.route,
-            self.sink,
-            prio=self.prio,
-            seq=self._seq,
-            created=self.sim.now,
+            nbytes, self.kind, self.route, self.sink, self.prio, self._seq,
+            self.sim.now,
         )
         self.route[0].send(pkt)
         return pkt

@@ -28,6 +28,17 @@ def test_back_to_back_serialization(sim):
     assert sim.now == pytest.approx(0.003)
 
 
+def test_idle_port_start_takes_the_chain_slot(sim):
+    """The first serialization of a busy period stays off the timer heap."""
+    port, sink = make_link(sim, rate_bps=1e6, prop_delay=0.0)
+    flow = send_packets(sim, port, sink, 1, size=500)
+    assert sim._heap == []
+    assert sim.pending == 1
+    assert sim.step()
+    assert flow.delivered == 1
+    assert sim.now == 500 * 8 / 1e6
+
+
 def test_propagation_is_pipelined(sim):
     """Propagation overlaps with the next packet's serialization."""
     port, sink = make_link(sim, rate_bps=1e6, prop_delay=0.050)

@@ -72,6 +72,11 @@ class TestTraceRecorder:
         assert len(rec) == 5
         assert rec.counts() == {"tx": (5, 5)}
 
+    def test_keeps_reports_the_category_filter(self):
+        assert TraceRecorder(ObsConfig()).keeps("tx")
+        rec = TraceRecorder(ObsConfig(categories=("probe",)))
+        assert rec.keeps("probe") and not rec.keeps("tx")
+
     def test_category_filter_does_not_advance_other_counters(self):
         rec = TraceRecorder(ObsConfig(categories=("probe",),
                                       sample_every=(("probe", 2),)))

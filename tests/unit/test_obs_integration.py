@@ -17,6 +17,7 @@ from repro.core.design import (
 from repro.experiments import cache, parallel
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.obs import CallbackProfile, ObsConfig, parse_lines
+from repro.obs.config import KNOWN_CATEGORIES
 from repro.units import mbps
 
 FAST = dict(duration=60.0, warmup=20.0, lifetime_mean=20.0,
@@ -61,6 +62,22 @@ class TestTracedRuns:
         assert times[0] >= 0.0
         indices = [r["i"] for r in parse_lines(result.trace)]
         assert indices == list(range(len(times)))
+
+    def test_filtered_tx_records_are_skipped_exactly(self):
+        """Ports skip ``tx`` emits the recorder would filter: the other
+        records are exactly those of the all-categories run (only the
+        kept index ``i`` moves, since the ``tx`` records are gone)."""
+        def records(obs):
+            result = run_scenario(fast_config(obs=obs), DESIGN)
+            return [{k: v for k, v in r.items() if k != "i"}
+                    for r in parse_lines(result.trace)]
+
+        everything = records(ObsConfig(max_records=10**6))
+        no_tx = records(ObsConfig(
+            categories=tuple(c for c in KNOWN_CATEGORIES if c != "tx"),
+        ))
+        assert {r["cat"] for r in everything} >= {"tx", "probe"}
+        assert no_tx == [r for r in everything if r["cat"] != "tx"]
 
     def test_metrics_only_config_skips_trace(self):
         result = run_scenario(
