@@ -21,10 +21,10 @@ See DESIGN.md §9 for the determinism argument and the invalidation rules.
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
 import os
+import re
 from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -131,30 +131,47 @@ def _module_path(name: str, root: Path) -> Optional[Path]:
     return None
 
 
+#: An import statement at any indentation (function-local imports break
+#: cycles, so they count): group 1 is the module of ``from repro... import``
+#: and group 2 its name list, parenthesised or running to the end of the
+#: line; group 3 is the name list of a plain ``import``.  Backslash
+#: continuations are part of a list.
+_IMPORT_RE = re.compile(
+    r"^[ \t]*(?:from[ \t]+(repro(?:\.\w+)*)[ \t]+import[ \t]*"
+    r"(\((?:[^)#]|#[^\n]*)*\)|(?:[^\n\\]|\\\n)*)"
+    r"|import[ \t]+((?:[^\n\\]|\\\n)*))",
+    re.MULTILINE,
+)
+_COMMENT_RE = re.compile(r"#[^\n]*")
+
+
+def _import_names(names: str) -> list[str]:
+    """The imported names of one list, comments and ``as`` aliases dropped."""
+    names = _COMMENT_RE.sub("", names).replace("\\\n", " ").strip("() \t\n")
+    return [item.split()[0] for item in names.split(",") if item.strip()]
+
+
 def _module_imports(path: Path) -> set[str]:
     """Every ``repro``-package module name imported anywhere in ``path``.
 
-    Walks the full AST, so function-local imports (used to break cycles)
-    count too.  Both statement forms are handled: ``import repro.x.y`` and
-    ``from repro.x import y`` — the latter adds ``repro.x`` *and*
-    ``repro.x.y``, since ``y`` may be a submodule rather than an attribute
-    (non-module names are discarded at resolution time).
+    Scans the import statements with one regular expression rather than
+    parsing: the first cache key of every process pays for this over
+    the whole closure.  Both statement forms are handled: ``import
+    repro.x.y`` and ``from repro.x import y`` — the latter adds
+    ``repro.x`` *and* ``repro.x.y``, since ``y`` may be a submodule
+    rather than an attribute (non-module names are discarded at
+    resolution time).
     """
     names: set[str] = set()
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "repro" or alias.name.startswith("repro."):
-                    names.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module
-            if node.level == 0 and module is not None and (
-                module == "repro" or module.startswith("repro.")
-            ):
-                names.add(module)
-                for alias in node.names:
-                    names.add(f"{module}.{alias.name}")
+    for module, imported, plain in _IMPORT_RE.findall(path.read_text()):
+        if module:
+            names.add(module)
+            names.update(f"{module}.{name}" for name in _import_names(imported))
+        else:
+            names.update(
+                name for name in _import_names(plain)
+                if name == "repro" or name.startswith("repro.")
+            )
     return names
 
 

@@ -10,6 +10,7 @@ tree so they can mutate files freely.
 
 from __future__ import annotations
 
+import ast
 import shutil
 from pathlib import Path
 
@@ -92,3 +93,68 @@ def test_fingerprint_feeds_run_keys(monkeypatch):
     monkeypatch.setattr(cache, "code_fingerprint", lambda: "fp-two")
     key_two = cache.run_key(config)
     assert key_one != key_two
+
+
+def _ast_imports(path: Path) -> set:
+    """The oracle for :func:`cache._module_imports`: a full AST walk."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(
+                alias.name for alias in node.names
+                if alias.name == "repro" or alias.name.startswith("repro.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level == 0 and module is not None and (
+                module == "repro" or module.startswith("repro.")
+            ):
+                names.add(module)
+                names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_import_scan_matches_the_ast_on_every_source_file():
+    sources = sorted(_SRC_REPRO.rglob("*.py"))
+    assert len(sources) > 40
+    for path in sources:
+        assert cache._module_imports(path) == _ast_imports(path), path
+
+
+_EVERY_FORM = """\
+import os, repro.sim.engine as engine_module, json
+import repro
+from repro.net import (
+    link,  # the port
+    packet as pkt,
+    # a comment line inside the list
+    queues,
+)
+from repro.obs import trace as tr, \\
+    config
+from repro import units
+from .relative import ignored
+import repro_lookalike
+from repro_lookalike import nothing
+
+
+def local():
+    from repro.experiments import scenarios
+    if True:
+        import repro.faults.model  # noqa
+    return scenarios
+"""
+
+
+def test_import_scan_handles_every_statement_form(tmp_path):
+    path = tmp_path / "forms.py"
+    path.write_text(_EVERY_FORM)
+    expected = {
+        "repro", "repro.sim.engine", "repro.net", "repro.net.link",
+        "repro.net.packet", "repro.net.queues", "repro.obs",
+        "repro.obs.trace", "repro.obs.config", "repro.units",
+        "repro.experiments", "repro.experiments.scenarios",
+        "repro.faults.model",
+    }
+    assert _ast_imports(path) == expected
+    assert cache._module_imports(path) == expected
