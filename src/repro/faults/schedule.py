@@ -82,6 +82,9 @@ class FaultSchedule:
             else {}
         )
         self.events = self._generate(rng)
+        #: Live port and Gilbert–Elliott chain by port name, set by install.
+        self._ports: Dict[str, OutputPort] = {}
+        self._models: Dict[str, GilbertElliottModel] = {}
 
     # -- trace generation -------------------------------------------------
 
@@ -111,25 +114,21 @@ class FaultSchedule:
 
         ``ports`` must cover every name in :attr:`port_names`; per-port
         Gilbert–Elliott chains are created here (and attached as the
-        port's ``loss_model``) only when the loss family is enabled.
+        port's ``loss_model``) only when the loss family is enabled.  The
+        port and chain of each name are kept here, once, so an event
+        carries nothing but its :class:`FaultEvent`.
         """
-        by_name: Dict[str, OutputPort] = {port.name: port for port in ports}
-        models: Dict[str, GilbertElliottModel] = {}
+        self._ports = {port.name: port for port in ports}
         if self.config.loss_every > 0:
             for name in self.port_names:
                 model = GilbertElliottModel(self.config, self._loss_rngs[name])
-                models[name] = model
-                by_name[name].loss_model = model
+                self._models[name] = model
+                self._ports[name].loss_model = model
         for event in self.events:
-            sim.schedule_at(event.time, self._apply, event,
-                            by_name[event.port], models.get(event.port))
+            sim.schedule_at(event.time, self._apply, event)
 
-    def _apply(
-        self,
-        event: FaultEvent,
-        port: OutputPort,
-        model: Optional[GilbertElliottModel],
-    ) -> None:
+    def _apply(self, event: FaultEvent) -> None:
+        port = self._ports[event.port]
         action = event.action
         if action == "down":
             port.set_enabled(False)
@@ -140,11 +139,9 @@ class FaultSchedule:
         elif action == "restore":
             port.set_capacity_factor(1.0)
         elif action == "loss-on":
-            assert model is not None
-            model.activate()
+            self._models[event.port].activate()
         else:  # "loss-off"
-            assert model is not None
-            model.deactivate()
+            self._models[event.port].deactivate()
         self.applied += 1
         tr = self.trace_sink
         if tr is not None:

@@ -24,7 +24,7 @@ SCHEDULING_METHODS = frozenset({"schedule", "schedule_at", "call", "call_chained
 
 #: ``Simulator.lane(delay)``: where a constant-delay lane's delay is given
 #: (and validated, once).  The ``Lane`` it returns schedules through
-#: ``lane.call(fn, *args)`` — callback first, no delay argument.
+#: ``lane.call(fn, arg)`` — callback first, exactly one argument, no delay.
 LANE_FACTORY = "lane"
 
 #: Wall-clock reading functions of the ``time`` module (DET002).
@@ -50,8 +50,9 @@ WALLCLOCK_EXEMPT_PATH_PARTS: Tuple[str, ...] = (
 def callback_candidates(call: ast.Call) -> List[ast.expr]:
     """Positional arguments of a scheduling call that may be its callback.
 
-    The simulator's methods take ``(delay, fn, *args)`` and ``Lane.call``
-    takes ``(fn, *args)``.  Both are spelled ``.call(`` and the receiver's
+    The simulator's methods take ``(delay, fn, *args)`` (``call_chained``
+    exactly ``(delay, fn, arg)``) and ``Lane.call`` takes ``(fn, arg)``.
+    Both are spelled ``.call(`` and the receiver's
     type is not known syntactically, so for ``call`` either of the first
     two arguments may be the callback; SIM001 keeps whichever is a
     lambda (a delay expression is not).

@@ -3,13 +3,16 @@
 The engine is a classic calendar built on :mod:`heapq`.  It is the hot path
 of every experiment, so it favors plain data structures over abstraction:
 
-* events are small lists ``[time, seq, callback, args, alive]`` — the list
+* events are small lists ``[time, seq, callback, arg, alive]`` — the list
   (rather than a tuple) lets :meth:`EventHandle.cancel` flip the ``alive``
   flag in O(1) without touching the heap;
 * the monotonically increasing ``seq`` breaks ties deterministically, which
   keeps runs bit-for-bit reproducible for a given seed;
-* callbacks receive their pre-bound positional arguments, avoiding closure
-  allocation in inner loops.
+* an event is one callable and one argument, fired as ``callback(arg)``
+  (``f(a)`` is cheaper than ``f(*args)``, and every per-packet event
+  takes exactly one): :meth:`Lane.call` and :meth:`Simulator.call_chained`
+  take exactly one, and the general schedulers adapt any other arity
+  once, at scheduling (:func:`_unary`).
 
 Two fast paths keep per-event constant costs down without changing
 dispatch order (DESIGN.md §11 gives the invariants):
@@ -23,7 +26,7 @@ dispatch order (DESIGN.md §11 gives the invariants):
   dispatch loop merges with the main heap on the same (time, seq) key;
 * **chain slot** — :meth:`call_chained` parks the *expected next* event of
   a self-clocked component (an output port serializing a queue backlog) in
-  four scalar slots (time, seq, callback, args) rather than a record: a
+  four scalar slots (time, seq, callback, arg) rather than a record: a
   chained event cannot be cancelled, so it needs no ``alive`` flag and no
   record at all.  While the chain stays the earliest pending event it is
   dispatched straight from the slots — zero heap operations and zero
@@ -63,7 +66,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, NoReturn, Optional, Protocol
+from types import MethodType
+from typing import Any, Callable, Deque, Dict, List, NoReturn, Optional, Protocol, Tuple
 
 from repro.errors import SimulationError
 
@@ -101,11 +105,11 @@ class ProfileSink(Protocol):
 # Index constants for the event record; kept module-private.  Lane records
 # carry a sixth field, the deque they wait in, so the loop can advance the
 # right lane.
-_TIME, _SEQ, _FN, _ARGS, _ALIVE, _QUEUE = 0, 1, 2, 3, 4, 5
+_TIME, _SEQ, _FN, _ARG, _ALIVE, _QUEUE = 0, 1, 2, 3, 4, 5
 
 #: Stand-in for "no record" in the dispatch loop's selection: later than
 #: any event can be (event times are finite), so whatever faces it wins.
-_NEVER: List[Any] = [math.inf, 0, None, (), False]
+_NEVER: List[Any] = [math.inf, 0, None, None, False]
 
 #: Minimum number of cancelled records before the engine considers
 #: compacting the heap (avoids rebuilding tiny calendars).
@@ -133,6 +137,34 @@ def set_strict_default(enabled: bool) -> bool:
 def strict_default() -> bool:
     """The current process-wide default strictness."""
     return _strict_default
+
+
+def _call0(fn: Callable[[], Any]) -> None:
+    """Trampoline for a zero-argument callback that is not a bound method."""
+    fn()
+
+
+def _call_n(packed: Tuple[Callable[..., Any], Tuple[Any, ...]]) -> None:
+    """Trampoline for a callback of two or more arguments."""
+    fn, args = packed
+    fn(*args)
+
+
+def _unary(
+    fn: Callable[..., Any], args: Tuple[Any, ...]
+) -> Tuple[Callable[[Any], Any], Any]:
+    """``(callable, arg)`` firing ``fn(*args)`` for any arity but one.
+
+    The schedulers handle one argument inline and come here otherwise, so
+    the adaptation is paid once per schedule and never at dispatch.  A
+    zero-argument bound method (every flow-level timer) needs no
+    trampoline: its function takes the instance as its one argument.
+    """
+    if args:
+        return _call_n, (fn, args)
+    if type(fn) is MethodType:
+        return fn.__func__, fn.__self__
+    return _call0, fn
 
 
 def _reject_delay(delay: float) -> NoReturn:
@@ -201,19 +233,21 @@ class Lane:
         self._sim = sim
         self._queue: Deque[List[Any]] = deque()
 
-    def call(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` to run :attr:`delay` seconds from now.
+    def call(self, fn: Callable[[Any], Any], arg: Any) -> None:
+        """Schedule ``fn(arg)`` to run :attr:`delay` seconds from now.
 
         Same semantics (and the same ``seq``) as ``sim.call(delay, fn,
-        *args)``.  The clock never runs backwards and the delay is fixed,
-        so the new record sorts after everything already in the lane and
-        an append keeps it ordered; only a lane that was empty has to
-        announce its new front to the dispatch loop.
+        arg)``.  Exactly one argument: a lane serves per-packet events,
+        so there is no adaptation here and a wrong arity is a
+        ``TypeError`` at scheduling.  The clock never runs backwards and
+        the delay is fixed, so the new record sorts after everything
+        already in the lane and an append keeps it ordered; only a lane
+        that was empty has to announce its new front to the dispatch loop.
         """
         sim = self._sim
         sim._seq = seq = sim._seq + 1
         queue = self._queue
-        record = [sim.now + self.delay, seq, fn, args, True, queue]
+        record = [sim.now + self.delay, seq, fn, arg, True, queue]
         if not queue:
             heapq.heappush(sim._fronts, record)
         queue.append(record)
@@ -240,7 +274,7 @@ class Simulator:
     """
 
     __slots__ = ("now", "strict", "trace", "_heap", "_lanes", "_fronts", "_now_lane",
-                 "_chain_time", "_chain_seq", "_chain_fn", "_chain_args",
+                 "_chain_time", "_chain_seq", "_chain_fn", "_chain_arg",
                  "_seq", "_stopped", "_events_processed", "_cancelled",
                  "_cancel_total", "_compactions", "_profile")
 
@@ -265,8 +299,8 @@ class Simulator:
         #: slot is empty iff ``_chain_fn is None``.
         self._chain_time: float = 0.0
         self._chain_seq: int = 0
-        self._chain_fn: Optional[Callable[..., Any]] = None
-        self._chain_args: Any = ()
+        self._chain_fn: Optional[Callable[[Any], Any]] = None
+        self._chain_arg: Any = None
         self._seq: int = 0
         self._stopped: bool = False
         self._events_processed: int = 0
@@ -312,16 +346,20 @@ class Simulator:
         when = self.now + delay
         if when == math.inf:
             raise SimulationError(f"cannot schedule at non-finite time {when!r}")
+        if len(args) == 1:
+            arg = args[0]
+        else:
+            fn, arg = _unary(fn, args)
         if when > self.now:
             self._seq += 1
-            heapq.heappush(self._heap, [when, self._seq, fn, args, True])
+            heapq.heappush(self._heap, [when, self._seq, fn, arg, True])
         else:
             # ``when >= now`` already held above, so this means "exactly
             # now": the event sorts after every pending same-time event
             # (largest seq) and before everything later — lane(0).
-            self._now_lane.call(fn, *args)
+            self._now_lane.call(fn, arg)
 
-    def call_chained(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+    def call_chained(self, delay: float, fn: Callable[[Any], Any], arg: Any) -> None:
         """Schedule the next link of a self-clocked event chain.
 
         Semantically identical to :meth:`call`; the event is parked in a
@@ -332,7 +370,8 @@ class Simulator:
         the slot with zero heap operations and no event record.  The
         slot only spills into the heap (as an ordinary record) when a
         second chain claims it.  Chained events cannot be cancelled;
-        guard in the callback instead.
+        guard in the callback instead.  Like :meth:`Lane.call` it takes
+        exactly one argument.
         """
         if not (delay >= 0):
             _reject_delay(delay)
@@ -345,12 +384,12 @@ class Simulator:
             # ordinary heap route, the newest keeps the slot.
             heapq.heappush(self._heap, [
                 self._chain_time, self._chain_seq,
-                self._chain_fn, self._chain_args, True,
+                self._chain_fn, self._chain_arg, True,
             ])
         self._chain_time = when
         self._chain_seq = self._seq
         self._chain_fn = fn
-        self._chain_args = args
+        self._chain_arg = arg
 
     def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute time ``when``."""
@@ -362,13 +401,17 @@ class Simulator:
             )
         if when == math.inf:
             raise SimulationError(f"cannot schedule at non-finite time {when!r}")
+        if len(args) == 1:
+            arg = args[0]
+        else:
+            fn, arg = _unary(fn, args)
         if when > self.now:
             self._seq += 1
-            record = [when, self._seq, fn, args, True]
+            record = [when, self._seq, fn, arg, True]
             heapq.heappush(self._heap, record)
         else:
             # lane(0) again: ``when`` equals the current time.
-            self._now_lane.call(fn, *args)
+            self._now_lane.call(fn, arg)
             record = self._now_lane._queue[-1]
         return EventHandle(record, self)
 
@@ -426,17 +469,17 @@ class Simulator:
                     # record sources, whose dispatch below still bounds it.)
                     if when > horizon:
                         break
-                    args = self._chain_args
+                    arg = self._chain_arg
                     self._chain_fn = None
-                    self._chain_args = ()
+                    self._chain_arg = None
                     if careful:
-                        self._fire_carefully(when, chain_fn, args)
+                        self._fire_carefully(when, chain_fn, arg)
                         if single:
                             break
                         continue
                     self.now = when
                     self._events_processed += 1
-                    chain_fn(*args)
+                    chain_fn(arg)
                     continue
             when = record[_TIME]
             if when > horizon and record[_ALIVE]:
@@ -461,23 +504,26 @@ class Simulator:
                 self._compact()
             record[_ALIVE] = False
             if careful:
-                self._fire_carefully(when, record[_FN], record[_ARGS])
+                self._fire_carefully(when, record[_FN], record[_ARG])
                 if single:
                     break
                 continue
             self.now = when
             self._events_processed += 1
-            record[_FN](*record[_ARGS])
+            record[_FN](record[_ARG])
 
     def _fire_carefully(
-        self, when: float, fn: Callable[..., Any], args: Any
+        self, when: float, fn: Callable[[Any], Any], arg: Any
     ) -> None:
         """Fire one event off the production path (see :meth:`_loop`).
 
         Strict mode first checks what a linter cannot prove — the time is
         still finite and the clock monotone, i.e. nobody mutated the record
         after scheduling; an installed profiler brackets the callback with
-        two reads of its injected clock.
+        two reads of its injected clock.  The profile key is the
+        ``__qualname__`` of the callback as it was scheduled: a trampoline
+        is keyed by the callback it wraps, and an unbound zero-argument
+        method's function has its bound method's qualname.
         """
         if self.strict:
             if not math.isfinite(when):
@@ -494,12 +540,13 @@ class Simulator:
         self._events_processed += 1
         profile = self._profile
         if profile is None:
-            fn(*args)
+            fn(arg)
             return
-        key = getattr(fn, "__qualname__", None) or repr(fn)
+        target = arg if fn is _call0 else arg[0] if fn is _call_n else fn
+        key = getattr(target, "__qualname__", None) or repr(target)
         clock = profile.clock
         start = clock()
-        fn(*args)
+        fn(arg)
         profile.record(key, clock() - start)
 
     def _compact(self) -> None:

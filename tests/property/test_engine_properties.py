@@ -1,7 +1,9 @@
 """Property-based tests for the event engine."""
 
 import bisect
+import functools
 import itertools
+import operator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,9 +82,13 @@ def test_clock_is_monotone_under_chained_scheduling(ds):
 # -- differential: every dispatch path against a sorted list ------------------
 #
 # A *program* is a forest of operations.  An event operation ``(kind, delay,
-# children)`` schedules one event through the named scheduling method; when
-# the event fires it logs ``(time, seq, label)`` and issues its children (so
-# scheduling nests inside callbacks).  ``("cancel", k)`` cancels the k-th
+# form, children)`` schedules one event through the named scheduling method;
+# when the event fires it logs ``(time, seq, label)`` and issues its children
+# (so scheduling nests inside callbacks).  The unary kinds (``lane``,
+# ``call_chained``) always fire ``fire(packed)``; the general ones draw their
+# callback's ``form``, an (arity, style) pair: 0, 1 or 3 arguments to a bound
+# method, a closure or a C-level callable, so the engine's zero-argument
+# unbinding and both trampolines meet the same reference calendar.  ``("cancel", k)`` cancels the k-th
 # handle obtained so far and ``("stop",)`` halts the run from inside the
 # callback; a drive resumes a stopped run, so stopping never changes what
 # fires.  The engine — through ``run``, a ``step`` loop, split ``run(until)``
@@ -90,7 +96,9 @@ def test_clock_is_monotone_under_chained_scheduling(ds):
 # what the reference calendar below fires.
 
 HANDLE_KINDS = ("schedule", "schedule_at")
-KINDS = HANDLE_KINDS + ("call", "call_chained", "lane")
+UNARY_KINDS = ("call_chained", "lane")
+KINDS = HANDLE_KINDS + ("call",) + UNARY_KINDS
+FORMS = tuple(itertools.product((0, 1, 3), ("method", "closure", "builtin")))
 
 # Mostly a handful of values, so that ties, shared lanes and same-time
 # (delay 0) events are the rule rather than the exception.
@@ -102,9 +110,10 @@ cancels = st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40))
 stops = st.just(("stop",))
 programs = st.lists(
     st.recursive(
-        st.tuples(st.sampled_from(KINDS), tie_prone_delays, st.just(())),
+        st.tuples(st.sampled_from(KINDS), tie_prone_delays, st.sampled_from(FORMS),
+                  st.just(())),
         lambda children: st.tuples(
-            st.sampled_from(KINDS), tie_prone_delays,
+            st.sampled_from(KINDS), tie_prone_delays, st.sampled_from(FORMS),
             st.lists(st.one_of(children, cancels, stops), max_size=4).map(tuple),
         ),
         max_leaves=25,
@@ -177,10 +186,12 @@ class EngineCalendar:
             return sim.schedule_at(sim.now + delay, fn, *args)
         if kind == "call":
             sim.call(delay, fn, *args)
-        elif kind == "call_chained":
-            sim.call_chained(delay, fn, *args)
+            return None
+        (arg,) = args  # a unary kind
+        if kind == "call_chained":
+            sim.call_chained(delay, fn, arg)
         else:
-            sim.lane(delay).call(fn, *args)
+            sim.lane(delay).call(fn, arg)
         return None
 
     def cancel(self, handle):
@@ -208,9 +219,48 @@ def execute(program, calendar):
     log = []
     handles = []
 
-    def fire(seq, label, children):
+    def fire(packed):
+        seq, label, children = packed
         log.append((calendar.now, seq, label))
         issue(children, label)
+
+    def fire3(seq, label, children):
+        fire((seq, label, children))
+
+    class Event:
+        """Carries its own data: ``Event(packed).fire`` takes no argument."""
+
+        def __init__(self, packed):
+            self.packed = packed
+
+        def fire(self):
+            fire(self.packed)
+
+        def fire1(self, packed):
+            fire(packed)
+
+        def fire3(self, seq, label, children):
+            fire((seq, label, children))
+
+    def callback(kind, form, packed):
+        """``(fn, args)`` scheduling one event of ``kind`` in ``form``."""
+        if kind in UNARY_KINDS:
+            return fire, (packed,)
+        arity, style = form
+        if arity == 0:
+            return {
+                "method": Event(packed).fire,
+                "closure": lambda: fire(packed),
+                "builtin": functools.partial(fire, packed),
+            }[style], ()
+        if arity == 1:
+            if style == "builtin":  # operator.call(f) fires f()
+                return operator.call, (functools.partial(fire, packed),)
+            return (Event(None).fire1 if style == "method" else fire), (packed,)
+        seq, label, children = packed
+        if style == "builtin":  # operator.call(f, a, b) fires f(a, b)
+            return operator.call, (functools.partial(fire3, seq), label, children)
+        return (Event(None).fire3 if style == "method" else fire3), packed
 
     def issue(operations, prefix):
         for i, operation in enumerate(operations):
@@ -221,10 +271,11 @@ def execute(program, calendar):
             if operation[0] == "stop":
                 calendar.stop()
                 continue
-            kind, delay, children = operation
-            handle = calendar.add(
-                kind, delay, fire, calendar.scheduled + 1, f"{prefix}/{i}", children,
+            kind, delay, form, children = operation
+            fn, args = callback(
+                kind, form, (calendar.scheduled + 1, f"{prefix}/{i}", children),
             )
+            handle = calendar.add(kind, delay, fn, *args)
             if handle is not None:
                 handles.append(handle)
 

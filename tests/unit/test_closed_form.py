@@ -2,9 +2,10 @@
 
 Each test drives a bare port, not a scenario, and compares a measured
 quantity with a formula that owes nothing to the simulator.  The
-tolerance is a 99 % Student-t interval over independent seeds, so it
-comes from the measured spread and is never widened by hand; a referee
-that disagrees is a finding for EXPERIMENTS.md "Known gaps".
+tolerance is a 99 % interval over independent seeds — Student-t for a
+mean, Clopper–Pearson for a probability — so it comes from the measured
+spread and is never widened by hand; a referee that disagrees is a
+finding for EXPERIMENTS.md "Known gaps".
 """
 
 from __future__ import annotations
@@ -18,10 +19,21 @@ import numpy.typing as npt
 import pytest
 from scipy import stats
 
+from repro.core.analysis import (
+    acceptance_probability,
+    probe_packet_count,
+    rule_of_thumb_floor_for_packets,
+)
+from repro.core.design import CongestionSignal, EndpointDesign, ProbeBand, ProbingScheme
+from repro.core.endpoint import EndpointAgent, FlowOutcome
+from repro.net.link import OutputPort
 from repro.net.packet import FlowAccounting, Packet
+from repro.net.queues import DropTailFifo
 from repro.net.sink import Sink
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.traffic.catalog import get_source_spec
+from repro.traffic.flowgen import FlowClass, FlowRequest
 from repro.traffic.video import SyntheticVideoSource, VideoTraceModel
 
 from tests.conftest import make_link, make_packet
@@ -185,3 +197,73 @@ def test_video_source_conforms_to_its_token_bucket(seed: int) -> None:
     excess = float(np.max(ends - starts))
     # The slack absorbs float rounding in the bucket's token arithmetic.
     assert excess <= depth + 1e-6, f"window exceeds b + rt by {excess - depth:.3f} B"
+
+
+# -- epsilon = 0 acceptance vs (1 - l)^n ----------------------------------------
+
+PROBE_CLASS = FlowClass(label="EXP1", spec=get_source_spec("EXP1"))
+#: Simple in-band drop probing at epsilon = 0, shortened to 0.25 s so a
+#: probe is 64 packets (``rT/P`` is a whole number per interval).
+PROBE_DESIGN = EndpointDesign(CongestionSignal.DROP, ProbeBand.IN_BAND,
+                              ProbingScheme.SIMPLE, epsilon=0.0,
+                              probe_duration=0.25)
+PROBE_TRIALS = 400
+
+
+class BernoulliLoss:
+    """An i.i.d. wire-loss model: every packet is dropped with ``rate``."""
+
+    def __init__(self, rate: float, rng: np.random.Generator) -> None:
+        self.rate = rate
+        self._rng = rng
+
+    def should_drop(self) -> bool:
+        return bool(self._rng.random() < self.rate)
+
+
+def probe_outcome(loss_rate: float, seed: int) -> FlowOutcome:
+    """The decision of one probe over a bare port that loses nothing but
+    what its Bernoulli ``loss_model`` drops (the port is 40x the probe
+    rate and the buffer holds the whole probe)."""
+    sim = Simulator()
+    port = OutputPort(sim, 1e7, DropTailFifo(1000), 0.0, name="bare")
+    streams = RandomStreams(seed)
+    port.loss_model = BernoulliLoss(loss_rate, streams.get("loss"))
+    decided: List[FlowOutcome] = []
+    agent = EndpointAgent(
+        sim, FlowRequest(1, PROBE_CLASS, 0.0, 1.0), PROBE_DESIGN, [port],
+        Sink(sim), streams.get("data"), decided.append, lambda _: None,
+    )
+    agent.begin()
+    sim.run(until=PROBE_DESIGN.probe_duration + PROBE_DESIGN.settle_time)
+    assert len(decided) == 1
+    return decided[0]
+
+
+def test_lossless_probe_sends_the_formula_packet_count() -> None:
+    spec = PROBE_CLASS.spec
+    outcome = probe_outcome(0.0, seed=1)
+    assert outcome.admitted
+    assert outcome.probe["sent"] == probe_packet_count(
+        spec.token_rate_bps, PROBE_DESIGN.probe_duration, spec.packet_bytes)
+
+
+@pytest.mark.parametrize("floor_factor", [0.5, 1.0, 2.0])
+def test_epsilon_zero_acceptance_matches_closed_form(floor_factor: float) -> None:
+    """P(admit) of an epsilon = 0 probe is ``(1 - l)^n``: at the rule-of-
+    thumb floor exactly one half, and ``acceptance_probability`` says so."""
+    spec = PROBE_CLASS.spec
+    sent = probe_outcome(0.0, seed=1).probe["sent"]
+    loss = floor_factor * rule_of_thumb_floor_for_packets(sent)
+    expected = (1.0 - loss) ** sent
+    assert acceptance_probability(
+        loss, spec.token_rate_bps, PROBE_DESIGN.probe_duration, spec.packet_bytes,
+    ) == pytest.approx(expected)
+    admitted = sum(
+        probe_outcome(loss, seed).admitted for seed in range(1, PROBE_TRIALS + 1)
+    )
+    interval = stats.binomtest(admitted, PROBE_TRIALS).proportion_ci(0.99)
+    assert interval.low <= expected <= interval.high, (
+        f"l={loss:.5f}: admitted {admitted}/{PROBE_TRIALS}, 99 % interval "
+        f"[{interval.low:.3f}, {interval.high:.3f}], (1 - l)^{sent} = {expected:.3f}"
+    )

@@ -22,7 +22,7 @@ from repro.sim.engine import Simulator
 
 def test_chain_fires_at_its_scheduled_time(sim):
     fired = []
-    sim.call_chained(1.5, lambda: fired.append(sim.now))
+    sim.call_chained(1.5, lambda _: fired.append(sim.now), None)
     sim.run()
     assert fired == [1.5]
     assert sim.now == 1.5
@@ -103,19 +103,19 @@ def test_self_clocked_rechaining_matches_plain_calls():
         times = []
         remaining = [5]
 
-        def tx_done():
+        def tx_done(_):
             times.append(sim.now)
             if remaining[0] > 0:
                 remaining[0] -= 1
                 schedule_next(sim, 0.25, tx_done)
 
-        sim.call(0.5, tx_done)
+        sim.call(0.5, tx_done, None)
         sim.call(1.1, times.append, -1.0)  # a background timer interleaves
         sim.run()
         return times
 
-    chained = drive(lambda sim, d, fn: sim.call_chained(d, fn))
-    plain = drive(lambda sim, d, fn: sim.call(d, fn))
+    chained = drive(lambda sim, d, fn: sim.call_chained(d, fn, None))
+    plain = drive(lambda sim, d, fn: sim.call(d, fn, None))
     assert chained == plain
     assert chained == [0.5, 0.75, 1.0, -1.0, 1.25, 1.5, 1.75]
 
@@ -137,17 +137,17 @@ def test_chain_interleaves_with_head_lane(sim):
 
 def test_chain_validation_rejects_bad_delays(sim):
     with pytest.raises(SimulationError):
-        sim.call_chained(-1.0, lambda: None)  # noqa: SIM001 — rejection under test
+        sim.call_chained(-1.0, lambda _: None, None)  # noqa: SIM001 — rejection under test
     with pytest.raises(SimulationError):
-        sim.call_chained(math.nan, lambda: None)  # noqa: SIM001 — rejection under test
+        sim.call_chained(math.nan, lambda _: None, None)  # noqa: SIM001 — rejection under test
     with pytest.raises(SimulationError):
-        sim.call_chained(math.inf, lambda: None)  # noqa: SIM001 — rejection under test
+        sim.call_chained(math.inf, lambda _: None, None)  # noqa: SIM001 — rejection under test
     assert sim.pending == 0
 
 
 def test_pending_counts_the_chain_slot(sim):
     assert sim.pending == 0
-    sim.call_chained(1.0, lambda: None)
+    sim.call_chained(1.0, lambda _: None, None)
     assert sim.pending == 1
     sim.call(2.0, lambda: None)
     assert sim.pending == 2
@@ -164,7 +164,7 @@ def test_chain_works_in_strict_mode():
 
 
 def test_events_processed_counts_chain_dispatches(sim):
-    sim.call_chained(1.0, lambda: None)
+    sim.call_chained(1.0, lambda _: None, None)
     sim.call(2.0, lambda: None)
     sim.run()
     assert sim.events_processed == 2

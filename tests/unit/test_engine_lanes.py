@@ -23,16 +23,16 @@ from repro.traffic.cbr import ConstantRateSource
 from repro.traffic.onoff import ExponentialOnOffSource
 
 
-def _via_heap(sim, delay, fn, *args):
-    sim.call(delay, fn, *args)
+def _via_heap(sim, delay, fn, arg):
+    sim.call(delay, fn, arg)
 
 
-def _via_chain(sim, delay, fn, *args):
-    sim.call_chained(delay, fn, *args)
+def _via_chain(sim, delay, fn, arg):
+    sim.call_chained(delay, fn, arg)
 
 
-def _via_other_lane(sim, delay, fn, *args):
-    sim.lane(delay).call(fn, *args)
+def _via_other_lane(sim, delay, fn, arg):
+    sim.lane(delay).call(fn, arg)
 
 
 # -- ordering ------------------------------------------------------------------
@@ -104,13 +104,14 @@ def test_lane_call_matches_sim_call_event_for_event():
         sim = Simulator()
         fired = []
 
-        def tick(source, remaining):
+        def tick(state):
+            source, remaining = state
             fired.append((sim.now, source))
             if remaining:
-                schedule(sim, 0.3 if source % 2 else 0.7, tick, source, remaining - 1)
+                schedule(sim, 0.3 if source % 2 else 0.7, tick, (source, remaining - 1))
 
         for source in range(6):
-            sim.call(0.1 * source, tick, source, 8)
+            sim.call(0.1 * source, tick, (source, 8))
         sim.run()
         return fired, sim.scheduled, sim.events_processed
 
@@ -164,9 +165,9 @@ def test_cancelled_same_time_event_in_the_now_lane_is_skipped(sim):
 def test_counters_count_lane_events(sim):
     lane = sim.lane(1.0)
     assert sim.pending == 0 and sim.scheduled == 0
-    lane.call(lambda: None)
-    lane.call(lambda: None)
-    sim.lane(0.0).call(lambda: None)
+    lane.call(lambda _: None, None)
+    lane.call(lambda _: None, None)
+    sim.lane(0.0).call(lambda _: None, None)
     assert sim.pending == 3
     assert sim.scheduled == 3
     assert sim.garbage_ratio == 0.0
@@ -178,7 +179,7 @@ def test_counters_count_lane_events(sim):
 def test_garbage_ratio_counts_lane_records_in_the_calendar(sim):
     handle = sim.schedule(5.0, lambda: None)
     for _ in range(3):
-        sim.lane(1.0).call(lambda: None)
+        sim.lane(1.0).call(lambda _: None, None)
     handle.cancel()
     assert sim.garbage_ratio == pytest.approx(1 / 4)
 
@@ -220,7 +221,7 @@ def test_components_with_the_same_delay_share_a_lane(sim, streams):
 def test_strict_mode_validates_lane_dispatches():
     sim = Simulator(strict=True)
     lane = sim.lane(1.0)
-    lane.call(lambda: None)
+    lane.call(lambda _: None, None)
     lane._queue[0][0] = math.nan                # simulate record corruption
     with pytest.raises(SimulationError, match="non-finite"):
         sim.run()
@@ -228,7 +229,7 @@ def test_strict_mode_validates_lane_dispatches():
     sim = Simulator(strict=True)
     sim.call(2.0, lambda: None)
     lane = sim.lane(3.0)
-    lane.call(lambda: None)
+    lane.call(lambda _: None, None)
     sim.run(until=2.5)
     lane._queue[0][0] = 1.0                     # now in the past
     with pytest.raises(SimulationError, match="backwards"):
