@@ -30,6 +30,7 @@ from repro.net.sink import Sink
 from repro.net.topology import Network
 from repro.sim.engine import Simulator, TraceSink
 from repro.sim.rng import RandomStreams
+from repro.traffic.base import Source
 from repro.traffic.flowgen import FlowRequest
 
 _COUNTER_FIELDS = ("sent", "delivered", "dropped", "marked", "lost",
@@ -169,7 +170,11 @@ class ControllerBase:
     def _start_data(self, request: FlowRequest, route: List[OutputPort],
                     outcome: FlowOutcome) -> None:
         """Start an admitted flow's data phase, record the decision, and
-        schedule the phase's end ``request.lifetime`` from now."""
+        schedule the phase's end ``request.lifetime`` from now.
+
+        Every controller's admitted flows come through here, so this and
+        :meth:`_end_data` are the whole data phase.
+        """
         data_flow = FlowAccounting(request.flow_id)
         outcome.data = data_flow
         source = request.spec.build(
@@ -177,13 +182,14 @@ class ControllerBase:
         )
         source.start()
         self._record_decision(outcome)
+        self.sim.call(request.lifetime, self._end_data, (source, outcome))
 
-        def finish() -> None:
-            source.stop()
-            outcome.end_time = self.sim.now
-            self._record_complete(outcome)
-
-        self.sim.schedule(request.lifetime, finish)
+    def _end_data(self, phase: Tuple[Source, FlowOutcome]) -> None:
+        """End a data phase: stop its source and record the completion."""
+        source, outcome = phase
+        source.stop()
+        outcome.end_time = self.sim.now
+        self._record_complete(outcome)
 
     # -- recording -------------------------------------------------------------
 
@@ -309,8 +315,7 @@ class EndpointAdmissionControl(ControllerBase):
         route = self.network.route(request.cls.src, request.cls.dst)
         agent = EndpointAgent(
             self.sim, request, self.design, route, self.sink,
-            self._source_rng, self._record_decision, self._record_complete,
-            trace=self.trace,
+            self._record_decision, self._start_data, trace=self.trace,
         )
         agent.begin()
 

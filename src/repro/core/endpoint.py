@@ -11,9 +11,10 @@ and ECN marks;
 ``DECIDING`` — after the probe (plus a short settle time for in-flight
 packets) the measured congestion fraction is compared against ``epsilon``;
 
-``DATA`` — an admitted flow instantiates its real traffic source and runs
-for its exponential lifetime; a rejected flow simply ends (the paper's
-"rejected flows do not retry").
+``DATA`` — an admitted flow is handed to the controller's data phase
+(:meth:`~repro.core.controller.ControllerBase._start_data`), which runs its
+real traffic source for its exponential lifetime; a rejected flow simply
+ends (the paper's "rejected flows do not retry").
 
 Early termination follows the paper exactly: simple probing aborts as soon
 as the observed losses guarantee the final fraction will exceed epsilon
@@ -26,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
-
-import numpy as np
 
 from repro.core.design import (
     PROBE_INTERVALS,
@@ -80,7 +79,12 @@ class FlowOutcome:
 
 
 class EndpointAgent:
-    """Drives one flow through probe → decision → data."""
+    """Drives one flow through probe → decision, then hands it on.
+
+    A rejected flow's outcome goes to ``on_reject``; an admitted flow goes
+    to ``start_data(request, route, outcome)``, which starts its data
+    phase and records the decision.
+    """
 
     def __init__(
         self,
@@ -89,9 +93,8 @@ class EndpointAgent:
         design: EndpointDesign,
         route: List[OutputPort],
         sink: Receiver,
-        data_rng: np.random.Generator,
-        on_decision: Callable[[FlowOutcome], None],
-        on_complete: Callable[[FlowOutcome], None],
+        on_reject: Callable[[FlowOutcome], None],
+        start_data: Callable[[FlowRequest, List[OutputPort], FlowOutcome], None],
         trace: Optional[TraceSink] = None,
     ) -> None:
         self.sim = sim
@@ -99,9 +102,8 @@ class EndpointAgent:
         self.design = design
         self.route = route
         self.sink = sink
-        self.data_rng = data_rng
-        self.on_decision = on_decision
-        self.on_complete = on_complete
+        self.on_reject = on_reject
+        self.start_data = start_data
         self.trace = trace
 
         cls_eps = request.cls.epsilon
@@ -145,7 +147,6 @@ class EndpointAgent:
         self._renege_handle: Optional[EventHandle] = None
         self._attempt = 0
         self._watch_feedback = 0
-        self.data_source: Optional[Source] = None
 
         # Simple probing aborts once the loss budget is exhausted: more than
         # floor(eps * planned) congested packets can no longer average out.
@@ -369,8 +370,7 @@ class EndpointAgent:
                     flow=outcome.flow_id, fraction=outcome.probe_fraction,
                     sent=outcome.probe.get("sent", 0),
                     retries=outcome.retries, timed_out=outcome.timed_out)
-        self.on_decision(outcome)
-        self.on_complete(outcome)
+        self.on_reject(outcome)
 
     def _admit(self, fraction: float) -> None:
         self._settle()
@@ -382,17 +382,4 @@ class EndpointAgent:
                     flow=outcome.flow_id, fraction=fraction,
                     sent=outcome.probe.get("sent", 0),
                     retries=outcome.retries)
-        data_flow = FlowAccounting(self.request.flow_id)
-        outcome.data = data_flow
-        self.data_source = self.request.spec.build(
-            self.sim, self.route, self.sink, data_flow, self.data_rng
-        )
-        self.data_source.start()
-        self.sim.schedule(self.request.lifetime, self._data_done)
-        self.on_decision(outcome)
-
-    def _data_done(self) -> None:
-        if self.data_source is not None:
-            self.data_source.stop()
-        self.outcome.end_time = self.sim.now
-        self.on_complete(self.outcome)
+        self.start_data(self.request, self.route, outcome)

@@ -245,8 +245,9 @@ def run_key(config: ScenarioConfig, design: ControllerSpec = None) -> str:
 def _disk_path(config: ScenarioConfig, design: ControllerSpec) -> Optional[Path]:
     """Entry file of one run (``<run_key>.json``); ``None`` with the cache off.
 
-    The directory is tested first: the key needs the code fingerprint, an
-    AST walk over the source tree that a run without a cache never needs.
+    The directory is tested first: the key needs the code fingerprint, a
+    regex scan of the source tree's ``repro`` imports that a run without a
+    cache never needs.
     """
     if _disk_dir is None:
         return None

@@ -15,7 +15,6 @@ from repro.net.packet import (
 from repro.net.queues import (
     DropTailFifo,
     FairQueueing,
-    MultiLevelPriorityQueue,
     QueueDiscipline,
     RedFifo,
     TwoLevelPriorityQueue,
@@ -31,7 +30,6 @@ __all__ = [
     "DropTailFifo",
     "FairQueueing",
     "FlowAccounting",
-    "MultiLevelPriorityQueue",
     "Network",
     "OutputPort",
     "PRIO_DATA",

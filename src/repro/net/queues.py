@@ -10,9 +10,9 @@ All disciplines share a tiny duck-typed interface used by
 * ``backlog_packets`` — queue occupancy, for tests and introspection.
 
 The paper's prototype designs need exactly two disciplines: a drop-tail
-FIFO (in-band designs) and a two-level strict-priority queue with data
-push-out of probes (out-of-band designs), each optionally wearing a
-virtual-queue ECN marker.  RED and Fair Queueing are provided for the
+FIFO (in-band designs) and a strict-priority queue with data push-out of
+probes (out-of-band designs, and with more data levels the Section 2.1.3
+multi-service fix), each optionally wearing a virtual-queue ECN marker.  RED and Fair Queueing are provided for the
 architectural ablations of Section 2.1 (stolen bandwidth) and for the
 drop-tail-vs-RED footnote.
 """
@@ -26,7 +26,7 @@ from typing import Deque, Dict, List, Optional, Protocol, Tuple, runtime_checkab
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.net.packet import PRIO_DATA, PRIO_PROBE, Packet
+from repro.net.packet import Packet
 from repro.net.vq import VirtualQueue
 from repro.units import BITS_PER_BYTE
 
@@ -123,20 +123,30 @@ class DropTailFifo:
 
 
 class TwoLevelPriorityQueue:
-    """Strict priority between AC data (high) and probes (low), shared buffer.
+    """Strict priority of data over probes, one shared buffer.
 
-    Implements the paper's out-of-band arrangement (Section 3.1): probe
-    packets ride a lower priority level than data packets; the buffer limit
-    applies to the *sum* of the two levels, and an arriving data packet
-    pushes out a resident probe packet when the buffer is full.
+    The two levels of the name are the two *kinds* of level every instance
+    has: of its N = ``levels`` levels, N-1 are data levels (packet ``prio``
+    0..N-2, lower served first) over one shared probe level (``prio`` N-1).  The default
+    ``levels=2`` is the paper's out-of-band arrangement (Section 3.1):
+    probes one strict-priority level below data.  More levels give the
+    Section 2.1.3 fix: several admission-controlled data service levels
+    whose probes all ride the same bottom level, so admission competition
+    is equal while delivered service differs.
 
-    For marking designs, each level can carry a virtual queue.  The data
-    level's virtual queue observes data arrivals only; the probe level's
-    observes *all* AC arrivals, because data traffic preempts probes and so
+    The buffer limit applies to the sum of all levels.  When it is full,
+    an arrival pushes out the youngest packet of the lowest non-empty
+    level strictly below its own (``pushout=True``); otherwise the arrival
+    is dropped.  A packet priority outside ``0..levels-1`` is a
+    :class:`~repro.errors.ConfigurationError`.
+
+    For marking designs, each kind of level can carry a virtual queue.
+    The data marker observes data-level arrivals only; the probe marker
+    observes *every* arrival, because data traffic preempts probes and so
     competes with them for the virtual capacity.
     """
 
-    __slots__ = ("_levels", "_capacity", "_occupancy", "data_marker",
+    __slots__ = ("_levels", "_probe", "_capacity", "_occupancy", "data_marker",
                  "probe_marker", "pushout", "drops", "pushouts", "enqueued")
 
     def __init__(
@@ -145,90 +155,8 @@ class TwoLevelPriorityQueue:
         data_marker: Optional[VirtualQueue] = None,
         probe_marker: Optional[VirtualQueue] = None,
         pushout: bool = True,
+        levels: int = 2,
     ) -> None:
-        if capacity_packets <= 0:
-            raise ConfigurationError(
-                f"capacity must be positive, got {capacity_packets!r}"
-            )
-        self._levels: List[Deque[Packet]] = [deque(), deque()]
-        self._capacity = capacity_packets
-        self._occupancy = 0
-        self.data_marker = data_marker
-        self.probe_marker = probe_marker
-        self.pushout = pushout
-        self.drops = 0
-        self.pushouts = 0
-        self.enqueued = 0
-
-    @property
-    def backlog_packets(self) -> int:
-        """Total occupancy across both levels, in packets."""
-        return self._occupancy
-
-    def backlog_at(self, prio: int) -> int:
-        """Occupancy of one priority level (tests and introspection)."""
-        return len(self._levels[prio])
-
-    def enqueue(self, pkt: Packet, now: float) -> bool:
-        """Admit ``pkt`` to its level, pushing out a probe when full."""
-        prio = pkt.prio
-        if prio == PRIO_DATA:
-            if self.data_marker is not None and self.data_marker.observe(pkt.size, now):
-                _mark(pkt)
-            # Data competes with probes for the probe level's virtual
-            # capacity, so the probe marker observes it too (without
-            # marking the data packet off that observation).
-            if self.probe_marker is not None:
-                self.probe_marker.observe(pkt.size, now)
-        else:
-            if self.probe_marker is not None and self.probe_marker.observe(pkt.size, now):
-                _mark(pkt)
-
-        if self._occupancy >= self._capacity:
-            probe_level = self._levels[PRIO_PROBE]
-            if prio == PRIO_DATA and self.pushout and probe_level:
-                victim = probe_level.pop()  # youngest probe packet
-                self._occupancy -= 1
-                self.pushouts += 1
-                self.drops += 1
-                _drop(victim)
-            else:
-                self.drops += 1
-                _drop(pkt)
-                return False
-        self._levels[prio].append(pkt)
-        self._occupancy += 1
-        self.enqueued += 1
-        return True
-
-    def dequeue(self) -> Optional[Packet]:
-        """Next packet, data level strictly before probes."""
-        for level in self._levels:
-            if level:
-                self._occupancy -= 1
-                return level.popleft()
-        return None
-
-
-class MultiLevelPriorityQueue:
-    """Strict priority across N service levels with a shared buffer.
-
-    Implements the Section 2.1.3 arrangement: several admission-controlled
-    *data* service levels (packet ``prio`` 0..N-2, lower served first) plus
-    one shared *probe* level at the bottom (``prio`` N-1).  All probes ride
-    the same lowest level regardless of the service level their data will
-    use, so admission competition is equal while delivered service differs.
-
-    When the shared buffer is full, an arriving packet pushes out the
-    youngest resident packet of the lowest-priority nonempty level that is
-    *strictly lower priority than itself*; otherwise the arrival is
-    dropped.
-    """
-
-    __slots__ = ("_levels", "_capacity", "_occupancy", "drops", "pushouts",
-                 "enqueued")
-
-    def __init__(self, levels: int, capacity_packets: int) -> None:
         if levels < 2:
             raise ConfigurationError(
                 f"need at least two levels (data + probe), got {levels!r}"
@@ -238,8 +166,12 @@ class MultiLevelPriorityQueue:
                 f"capacity must be positive, got {capacity_packets!r}"
             )
         self._levels: List[Deque[Packet]] = [deque() for __ in range(levels)]
+        self._probe = levels - 1
         self._capacity = capacity_packets
         self._occupancy = 0
+        self.data_marker = data_marker
+        self.probe_marker = probe_marker
+        self.pushout = pushout
         self.drops = 0
         self.pushouts = 0
         self.enqueued = 0
@@ -252,7 +184,7 @@ class MultiLevelPriorityQueue:
     @property
     def probe_level(self) -> int:
         """The shared probe priority (the lowest level)."""
-        return len(self._levels) - 1
+        return self._probe
 
     @property
     def backlog_packets(self) -> int:
@@ -264,27 +196,42 @@ class MultiLevelPriorityQueue:
         return len(self._levels[prio])
 
     def enqueue(self, pkt: Packet, now: float) -> bool:
-        """Admit ``pkt``, pushing out the lowest-priority victim when full."""
+        """Admit ``pkt`` to its level, pushing out a lower one when full."""
         prio = pkt.prio
-        if not 0 <= prio < len(self._levels):
+        probe = self._probe
+        if prio == probe:
+            marker = self.probe_marker
+            if marker is not None and marker.observe(pkt.size, now):
+                _mark(pkt)
+        elif 0 <= prio < probe:
+            marker = self.data_marker
+            if marker is not None and marker.observe(pkt.size, now):
+                _mark(pkt)
+            # Data competes with probes for the probe level's virtual
+            # capacity, so the probe marker observes it too (without
+            # marking the data packet off that observation).
+            if self.probe_marker is not None:
+                self.probe_marker.observe(pkt.size, now)
+        else:
             raise ConfigurationError(
-                f"packet priority {prio!r} outside 0..{len(self._levels) - 1}"
+                f"packet priority {prio!r} outside 0..{probe}"
             )
+        levels = self._levels
         if self._occupancy >= self._capacity:
             victim = None
-            for level in range(len(self._levels) - 1, prio, -1):
-                if self._levels[level]:
-                    victim = self._levels[level].pop()
-                    break
+            if self.pushout:
+                for level in range(probe, prio, -1):
+                    if levels[level]:
+                        victim = levels[level].pop()  # youngest of the level
+                        break
+            self.drops += 1
             if victim is None:
-                self.drops += 1
                 _drop(pkt)
                 return False
             self._occupancy -= 1
             self.pushouts += 1
-            self.drops += 1
             _drop(victim)
-        self._levels[prio].append(pkt)
+        levels[prio].append(pkt)
         self._occupancy += 1
         self.enqueued += 1
         return True

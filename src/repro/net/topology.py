@@ -27,6 +27,9 @@ from repro.sim.engine import Simulator
 #: A factory producing a fresh queueing discipline for one port.
 QdiscFactory = Callable[[], QueueDiscipline]
 
+#: Parking-lot access links run this many times faster than the backbone.
+_ACCESS_SPEEDUP = 100
+
 
 class Network:
     """Registry of nodes, directed ports, and cached minimum-hop routes."""
@@ -139,7 +142,6 @@ def parking_lot(
     qdisc_factory: QdiscFactory,
     prop_delay: float = 0.020,
     backbone_links: int = 3,
-    access_rate_bps: Optional[float] = None,
 ) -> Tuple[Network, List[OutputPort]]:
     """The Figure-10 multi-link topology (a "parking lot").
 
@@ -152,14 +154,14 @@ def parking_lot(
     the paper's 12-node layout (4 backbone + 3 ingress + 3 egress nodes,
     with long-flow source/sink hosts folded into ``b0``/``b<n>``).
 
-    Access links are uncongested: much faster than the backbone so that the
-    only loss happens on backbone ports.
+    Access links are uncongested: ``_ACCESS_SPEEDUP`` times faster than the
+    backbone, so the only loss happens on backbone ports.
 
     Returns the network and the list of backbone ports, upstream first.
     """
     if backbone_links < 1:
         raise TopologyError(f"need at least one backbone link, got {backbone_links!r}")
-    access_rate = access_rate_bps if access_rate_bps is not None else rate_bps * 100
+    access_rate = rate_bps * _ACCESS_SPEEDUP
     net = Network(sim)
     routers = [f"b{i}" for i in range(backbone_links + 1)]
     for name in routers:

@@ -157,7 +157,7 @@ def _unary(
 
     The schedulers handle one argument inline and come here otherwise, so
     the adaptation is paid once per schedule and never at dispatch.  A
-    zero-argument bound method (every flow-level timer) needs no
+    zero-argument bound method (most flow-level timers) needs no
     trampoline: its function takes the instance as its one argument.
     """
     if args:

@@ -1,9 +1,11 @@
 """Restartable timers built on the event engine.
 
-TCP retransmission timeouts and probe checkpoints both need a timer that can
-be started, restarted (pushing the deadline out), and stopped.  Doing that
-with raw :class:`~repro.sim.engine.EventHandle` objects at every call site is
-error-prone; :class:`Timer` packages the pattern.
+TCP retransmission timeouts need a timer that can be started, restarted
+(pushing the deadline out), and stopped.  Doing that with raw
+:class:`~repro.sim.engine.EventHandle` objects at every call site is
+error-prone; :class:`Timer` packages the pattern.  The endpoint agent's
+probe checkpoints and watchdog keep raw handles: each deadline is armed once
+and at most cancelled, never pushed out.
 """
 
 from __future__ import annotations

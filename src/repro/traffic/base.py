@@ -13,14 +13,18 @@ from typing import List, Optional
 from repro.errors import ConfigurationError
 from repro.net.link import OutputPort
 from repro.net.packet import DATA, PRIO_DATA, FlowAccounting, Packet, Receiver
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 
 
 class Source:
     """Base class: packet fabrication plus start/stop bookkeeping.
 
-    Subclasses implement the emission schedule and call :meth:`_emit` for
-    every packet.
+    Subclasses implement the emission schedule in :meth:`_on_start` and
+    call :meth:`_emit` for every packet.  Every event a subclass schedules
+    carries the epoch it was scheduled in; :meth:`start` and :meth:`stop`
+    bump the epoch, so a pending event of an earlier epoch fires once,
+    sees a different epoch and dies.  The per-packet path needs no
+    :class:`~repro.sim.engine.EventHandle` and no cancellation.
     """
 
     def __init__(
@@ -48,16 +52,24 @@ class Source:
         self.prio = prio
         self.running = False
         self._seq = 0
+        self._epoch = 0
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Begin emitting.  Subclasses extend this; call super().start()."""
+        """Begin emitting: open a new epoch and hand it to :meth:`_on_start`."""
         self.running = True
+        self._epoch += 1
+        self._on_start(self._epoch)
 
     def stop(self) -> None:
         """Stop emitting.  Safe to call when already stopped."""
         self.running = False
+        self._epoch += 1
+
+    def _on_start(self, epoch: int) -> None:
+        """Emit or schedule the first packet of ``epoch`` (subclass hook)."""
+        raise NotImplementedError
 
     # -- emission -------------------------------------------------------------
 
@@ -80,9 +92,3 @@ class Source:
         )
         self.route[0].send(pkt)
         return pkt
-
-
-def cancel(handle: Optional[EventHandle]) -> None:
-    """Cancel an event handle if it is set; tolerate None."""
-    if handle is not None:
-        handle.cancel()

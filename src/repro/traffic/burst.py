@@ -52,7 +52,6 @@ class BurstProbeSource(Source):
         self.rate_bps = rate_bps
         self.bucket_bytes = bucket_bytes
         self._burst_packets = max(1, math.floor(bucket_bytes / packet_bytes))
-        self._epoch = 0
 
     @property
     def burst_packets(self) -> int:
@@ -70,21 +69,14 @@ class BurstProbeSource(Source):
             raise ConfigurationError(f"rate must be positive, got {rate_bps!r}")
         self.rate_bps = rate_bps
 
-    def start(self) -> None:
-        super().start()
-        self._epoch += 1
-        self._burst(self._epoch)
-
-    def stop(self) -> None:
-        super().stop()
-        self._epoch += 1
-
     def _burst(self, epoch: int) -> None:
-        if not self.running or epoch != self._epoch:
+        if epoch != self._epoch:
             return
         for __ in range(self._burst_packets):
             self._emit()
         self.sim.call(self.gap, self._burst, epoch)
+
+    _on_start = _burst
 
 
 def effective_probe_rate(token_rate_bps: float, bucket_bytes: int,

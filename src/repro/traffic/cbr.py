@@ -39,7 +39,6 @@ class ConstantRateSource(Source):
             raise ConfigurationError(f"rate must be positive, got {rate_bps!r}")
         self.rate_bps = rate_bps
         self._tick_lane = sim.lane(self.interval)
-        self._epoch = 0
 
     @property
     def interval(self) -> float:
@@ -53,19 +52,10 @@ class ConstantRateSource(Source):
         self.rate_bps = rate_bps
         self._tick_lane = self.sim.lane(self.interval)
 
-    def start(self) -> None:
-        super().start()
-        self._epoch += 1
-        self._tick(self._epoch)
-
-    def stop(self) -> None:
-        # No event cancellation: a stale tick fires once, sees a different
-        # epoch (or running=False), and dies.
-        super().stop()
-        self._epoch += 1
-
     def _tick(self, epoch: int) -> None:
-        if not self.running or epoch != self._epoch:
+        if epoch != self._epoch:
             return
         self._emit()
         self._tick_lane.call(self._tick, epoch)
+
+    _on_start = _tick

@@ -54,14 +54,9 @@ class OnOffSource(Source):
         self.mean_on = mean_on
         self.mean_off = mean_off
         self.rng = rng
-        self.on = False
         # A burst is a fixed-interval train: its ticks ride a constant-delay
         # lane (shared by every source with the same packet interval).
         self._tick_lane = sim.lane(packet_bytes * BITS_PER_BYTE / burst_rate_bps)
-        # Epoch counters make stale events self-cancelling, avoiding
-        # EventHandle allocation on the per-packet path: every state change
-        # bumps the epoch and pending events for old epochs die on arrival.
-        self._epoch = 0
 
     @property
     def average_rate_bps(self) -> float:
@@ -77,43 +72,36 @@ class OnOffSource(Source):
     def _draw_off(self) -> float:
         raise NotImplementedError
 
-    # -- lifecycle ----------------------------------------------------------
+    # -- state machine -------------------------------------------------------
+    #
+    # Every state change bumps the epoch as well, so the ticks of an ON
+    # period die with it.
 
-    def start(self) -> None:
-        super().start()
+    def _on_start(self, epoch: int) -> None:
         duty = self.mean_on / (self.mean_on + self.mean_off) if self.mean_off else 1.0
         if self.rng.random() < duty:
-            self._begin_on(self._epoch)
+            self._begin_on(epoch)
         else:
-            self._begin_off(self._epoch)
-
-    def stop(self) -> None:
-        super().stop()
-        self._epoch += 1
-        self.on = False
-
-    # -- state machine -------------------------------------------------------
+            self._begin_off(epoch)
 
     def _begin_on(self, epoch: int) -> None:
-        if not self.running or epoch != self._epoch:
+        if epoch != self._epoch:
             return
         self._epoch = epoch = epoch + 1
-        self.on = True
         self.sim.call(self._draw_on(), self._begin_off, epoch)
         self._emit_tick(epoch)
 
     def _begin_off(self, epoch: int) -> None:
-        if not self.running or epoch != self._epoch:
+        if epoch != self._epoch:
             return
         self._epoch = epoch = epoch + 1
-        self.on = False
         if self.mean_off == 0:
             self._begin_on(epoch)
             return
         self.sim.call(self._draw_off(), self._begin_on, epoch)
 
     def _emit_tick(self, epoch: int) -> None:
-        if epoch != self._epoch or not self.on:
+        if epoch != self._epoch:
             return
         self._emit()
         self._tick_lane.call(self._emit_tick, epoch)

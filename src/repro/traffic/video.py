@@ -144,23 +144,11 @@ class SyntheticVideoSource(Source):
         self.bucket = TokenBucket(token_rate_bps, token_bucket_bytes)
         self._frames = self.model.frames(rng)
         self._frame_interval = 1.0 / FRAME_RATE
-        self._epoch = 0
         self.frames_emitted = 0
         self.shaped_packets = 0
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> None:
-        super().start()
-        self._epoch += 1
-        self._frame_tick(self._epoch)
-
-    def stop(self) -> None:
-        super().stop()
-        self._epoch += 1
-
     def _frame_tick(self, epoch: int) -> None:
-        if not self.running or epoch != self._epoch:
+        if epoch != self._epoch:
             return
         frame_bytes = next(self._frames)
         self.frames_emitted += 1
@@ -171,9 +159,11 @@ class SyntheticVideoSource(Source):
         self.sim.call(self._frame_interval, self._frame_tick, epoch)
 
     def _emit_policed(self, epoch: int) -> None:
-        if not self.running or epoch != self._epoch:
+        if epoch != self._epoch:
             return
         if self.bucket.conforms(self.packet_bytes, self.sim.now):
             self._emit()
         else:
             self.shaped_packets += 1
+
+    _on_start = _frame_tick

@@ -232,7 +232,8 @@ def probe_outcome(loss_rate: float, seed: int) -> FlowOutcome:
     decided: List[FlowOutcome] = []
     agent = EndpointAgent(
         sim, FlowRequest(1, PROBE_CLASS, 0.0, 1.0), PROBE_DESIGN, [port],
-        Sink(sim), streams.get("data"), decided.append, lambda _: None,
+        Sink(sim), decided.append,
+        lambda _request, _route, outcome: decided.append(outcome),
     )
     agent.begin()
     sim.run(until=PROBE_DESIGN.probe_duration + PROBE_DESIGN.settle_time)

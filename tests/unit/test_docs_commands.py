@@ -1,11 +1,13 @@
-"""Every name the docs advertise exists: ``python -m X`` commands and the
-``Class.member`` identifiers of DESIGN.md §11.
+"""Every name the docs advertise exists: ``python -m X`` commands, the
+``Class.member`` identifiers of DESIGN.md §11, and the modules of DESIGN.md
+§6's package layout.
 
 README.md, ROADMAP.md's "Static gates" block and the CI workflow are where
 people copy commands from; nothing else fails when one of them still names
 a command line that has been deleted or renamed.  DESIGN.md §11 (the
 simulator fast path) explains the engine by naming its methods, so a
-rename there must fail as loudly.
+rename there must fail as loudly.  DESIGN.md §6 is the map of the source
+tree, so a module added, moved or deleted without it fails too.
 """
 
 from __future__ import annotations
@@ -131,3 +133,46 @@ def test_design_section_11_member_resolves(module, cls, member, monkeypatch):
     assert hasattr(owner, member) or member in fields, (
         f"DESIGN.md §11 names `{cls}.{member}`, which {module}.{cls} lacks"
     )
+
+
+# -- DESIGN.md §6: the package layout names every module ----------------------
+
+#: Files a package has without the layout naming them.
+_PACKAGE_FILES = frozenset({"__init__.py", "__main__.py"})
+
+
+def _section_6_modules() -> set[str]:
+    """Paths under ``src/repro`` that DESIGN.md §6's layout block names.
+
+    A line starting with ``pkg/`` names that package's files; a deeper
+    indented line continues the package above it; a line of files at the
+    first indent is the top level.
+    """
+    design = (REPO_ROOT / "DESIGN.md").read_text()
+    section = design[design.index("## 6."):design.index("## 7.")]
+    block = section.split("```")[1]
+    named = set()
+    package = ""
+    for line in block[block.index("src/repro/\n"):].splitlines()[1:]:
+        if not line.startswith(" "):
+            break  # the next top-level directory
+        tokens = line.split()
+        if tokens[0].endswith("/"):
+            package = tokens[0]
+        elif len(line) - len(line.lstrip()) == 2:
+            package = ""
+        named.update(package + token for token in tokens if token.endswith(".py"))
+    return {path for path in named if Path(path).name not in _PACKAGE_FILES}
+
+
+def test_design_section_6_layout_names_every_module():
+    root = REPO_ROOT / "src" / "repro"
+    modules = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if path.name not in _PACKAGE_FILES
+    }
+    named = _section_6_modules()
+    assert {"units.py", "sim/engine.py", "experiments/cli.py"} <= named
+    assert sorted(modules - named) == [], "modules DESIGN.md §6 omits"
+    assert sorted(named - modules) == [], "DESIGN.md §6 names no such module"

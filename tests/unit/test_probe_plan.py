@@ -13,7 +13,6 @@ from repro.core.endpoint import EndpointAgent
 from repro.net.packet import PRIO_DATA, PRIO_PROBE
 from repro.net.sink import Sink
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
 from repro.traffic.catalog import get_source_spec
 from repro.traffic.flowgen import FlowClass, FlowRequest
 from repro.units import kbps
@@ -21,7 +20,6 @@ from repro.units import kbps
 
 def make_agent(design, source="EXP1", epsilon=None):
     sim = Simulator()
-    streams = RandomStreams(1)
     spec = get_source_spec(source)
     cls = FlowClass(label=source, spec=spec, epsilon=epsilon)
     request = FlowRequest(flow_id=1, cls=cls, arrival_time=0.0, lifetime=10.0)
@@ -32,7 +30,7 @@ def make_agent(design, source="EXP1", epsilon=None):
             pass
 
     return EndpointAgent(sim, request, design, [FakePort()], sink,
-                         streams.get("sources"), lambda o: None, lambda o: None)
+                         lambda o: None, lambda request, route, o: None)
 
 
 def test_slow_start_rates_double_toward_token_rate():

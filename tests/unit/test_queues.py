@@ -122,6 +122,17 @@ class TestTwoLevelPriorityQueue:
         q.enqueue(probe, 0.0)
         assert probe.ecn
 
+    def test_out_of_range_priority_is_rejected(self):
+        # Two levels are priorities 0 and 1; a negative priority is not
+        # quietly queued at the probe level.
+        q = TwoLevelPriorityQueue(10)
+        flow = FlowAccounting(1)
+        for prio in (-1, 2):
+            with pytest.raises(ConfigurationError):
+                q.enqueue(pkt(flow, kind=PROBE, prio=prio), 0.0)
+        assert q.backlog_packets == 0
+        assert q.enqueued == 0
+
     def test_data_marker_ignores_probe_arrivals(self):
         data_marker = VirtualQueue(rate_bps=8e3, buffer_bytes=250, fraction=1.0)
         q = TwoLevelPriorityQueue(100, data_marker=data_marker)
