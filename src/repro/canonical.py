@@ -1,10 +1,11 @@
 """The byte format of every JSON artifact, and how one reaches the disk.
 
-Traces, metrics, time series, span lines, manifests, cache entries and
-run-key material are all *canonical JSON*: sorted keys, compact
-separators, floats in shortest-repr form — so equal values give equal
-bytes on every machine, which is what the golden fixtures, the sha256
-manifests and the content-addressed cache keys rely on.  Files are
+Traces, metrics, time series, span lines, manifests and run-key
+material are all *canonical JSON*: sorted keys, compact separators,
+floats in shortest-repr form — so equal values give equal bytes on every
+machine, which is what the golden fixtures, the sha256 manifests and the
+content-addressed cache keys rely on.  A cache entry is canonical JSON
+lines: a header object, then the run's trace lines verbatim.  Files are
 published by write-then-rename, so a reader (another worker of a sweep, a
 second session) sees a whole file or none.
 """

@@ -3,8 +3,10 @@
 Several of the paper's figures reuse the same (scenario, design, seed)
 points — Figure 9 re-reports fixed-epsilon points of Figure 8, Figures 4–7
 share their MBAC reference, and so on.  Simulations are expensive, so every
-sweep consults this cache: a content-addressed store of JSON files, one per
-run, under a cache directory (``results/cache/`` by convention).  Keys are
+sweep consults this cache: a content-addressed store of entry files, one
+per run, under a cache directory (``results/cache/`` by convention).  An
+entry is a canonical JSON header line followed by the run's trace lines
+verbatim, so a warm replay never unescapes a trace.  Keys are
 a SHA-256 over the canonically serialized config + controller spec + a
 fingerprint of the sources a run can execute, so a code change invalidates
 every entry and a stale cache can never contaminate a new result.  Reads
@@ -37,9 +39,13 @@ from repro.experiments.runner import (
     ScenarioResult,
 )
 
-#: Bump when the on-disk payload layout changes; old entries are evicted.
-#: v4: ScenarioResult grew the ``timeseries`` payload and the trace
-#: envelope moved to v2 (recorder field).
+#: Bump when the result payload changes; it is key material, so a bump
+#: moves every key.  v4: ScenarioResult grew the ``timeseries`` payload
+#: and the trace envelope moved to v2 (recorder field).  The entry layout
+#: (header line + trace lines) changed without a bump: an entry in the
+#: older single-document layout has no ``trace_lines`` in its header, and
+#: an older reader fails on the trace lines after the header ("Extra
+#: data"), so each side evicts the other's entries rather than misread them.
 SCHEMA_VERSION = 4
 
 #: Cache directory; ``None`` disables the cache entirely.
@@ -259,16 +265,27 @@ def lookup(config: ScenarioConfig, design: ControllerSpec = None) -> Tuple[Optio
 
     Always a miss with the cache off.  A corrupt, truncated, or
     schema-mismatched file is deleted and reported as a miss — a bad cache
-    entry costs one recomputation, never a crash.
+    entry costs one recomputation, never a crash.  Only the header line is
+    parsed; the trace comes back by splitting the rest of the file, and a
+    line count that disagrees with the header's ``trace_lines`` (an entry
+    cut short) counts as corrupt.
     """
     path = _disk_path(config, design)
     if path is None:
         return None, "miss"
     try:
-        payload = json.loads(path.read_text())
+        header, *trace = path.read_text().split("\n")
+        payload = json.loads(header)
         if payload["schema"] != SCHEMA_VERSION:
             raise ValueError(f"schema {payload['schema']!r}")
+        count = payload["trace_lines"]
+        # Every line ends in a newline: a cut inside the last line leaves
+        # a non-empty tail, a cut between lines a short count.
+        if trace[-1:] != [""] or len(trace) - 1 != (count or 0):
+            raise ValueError(f"{len(trace) - 1} trace lines, header says {count!r}")
+        trace.pop()
         raw = payload["result"]
+        raw["trace"] = None if count is None else trace
         return ScenarioResult(**{name: raw[name] for name in _RESULT_FIELDS}), "disk"
     except FileNotFoundError:
         return None, "miss"
@@ -286,20 +303,30 @@ def store(config: ScenarioConfig, design: ControllerSpec, result: ScenarioResult
     Atomicity means a concurrent reader — another worker of a parallel
     sweep, or a second pytest session — sees either the complete entry or
     none; the corruption-tolerant :func:`lookup` handles everything else.
+
+    Line 1 is the canonical JSON header — the result without its trace,
+    plus ``trace_lines``, the trace's line count (``None`` when untraced)
+    — and the trace's canonical lines follow verbatim, each ending in a
+    newline.  Canonical JSON escapes control characters, so a trace line
+    never holds a raw newline.
     """
     path = _disk_path(config, design)
     if path is None:
         return
+    raw = asdict(result)
+    trace = raw.pop("trace")
     payload = {
         "schema": SCHEMA_VERSION,
         "key": path.stem,
         "controller": result.controller_name,
         "seed": result.seed,
-        "result": asdict(result),
+        "result": raw,
+        "trace_lines": None if trace is None else len(trace),
     }
+    text = "\n".join([canonical.dumps(payload), *(trace or ()), ""])
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        canonical.atomic_write_text(path, canonical.dumps(payload))
+        canonical.atomic_write_text(path, text)
     except OSError:
         # A read-only or full cache directory degrades to compute-always.
         pass

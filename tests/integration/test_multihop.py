@@ -33,8 +33,8 @@ def test_long_flows_lose_roughly_three_times_short(eac_result):
               for i in range(3)]
     mean_short = sum(shorts) / 3
     long_loss = eac_result.per_class["long"]["loss_probability"]
-    if mean_short > 1e-4:  # need enough loss mass to compare ratios
-        assert 1.5 * mean_short < long_loss < 6 * mean_short
+    assert mean_short > 1e-4, "too little short-flow loss to compare ratios"
+    assert 1.5 * mean_short < long_loss < 6 * mean_short
 
 
 def test_long_flows_blocked_more_than_short(eac_result):

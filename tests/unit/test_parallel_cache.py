@@ -12,11 +12,12 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
+from repro import canonical
 from repro.core.design import (
     CongestionSignal,
     EndpointDesign,
@@ -30,6 +31,7 @@ from repro.experiments.report import format_curves
 from repro.experiments.runner import MbacConfig, ScenarioConfig
 from repro.experiments.scenarios import get_scenario
 from repro.faults.model import FaultConfig
+from repro.obs import ObsConfig
 from repro.units import mbps
 
 FAST = dict(duration=60.0, warmup=20.0, lifetime_mean=20.0,
@@ -39,8 +41,15 @@ DESIGN = EndpointDesign(CongestionSignal.DROP, ProbeBand.IN_BAND,
                         ProbingScheme.SLOW_START)
 
 
-def fast_config(seed: int = 1) -> ScenarioConfig:
-    return ScenarioConfig(source="EXP1", interarrival=2.0, seed=seed, **FAST)
+#: A traced run keeps a few dozen trace lines; one whose only category
+#: never fires keeps none, so its trace is ``[]`` rather than ``None``.
+TRACED = ObsConfig(trace=True, max_records=32)
+NO_RECORDS = ObsConfig(trace=True, categories=("no-such-category",))
+
+
+def fast_config(seed: int = 1, obs=None) -> ScenarioConfig:
+    return ScenarioConfig(source="EXP1", interarrival=2.0, seed=seed,
+                          obs=obs, **FAST)
 
 
 class TestRunKey:
@@ -157,6 +166,24 @@ class TestDiskCache:
         # Nothing is kept in the process: every lookup reads the file anew.
         again, tier = cache.lookup(config, DESIGN)
         assert tier == "disk" and again == loaded and again is not loaded
+
+    @pytest.mark.parametrize("obs, expected", [
+        (None, None), (NO_RECORDS, []), (TRACED, "stored"),
+    ], ids=["untraced", "no-records", "traced"])
+    def test_trace_round_trips(self, tmp_path, obs, expected):
+        """The trace comes back as stored: ``None`` untraced, ``[]`` with no
+        records, else the entry's lines after its header, byte for byte."""
+        cache.set_cache_dir(tmp_path)
+        config = fast_config(obs=obs)
+        (computed,) = parallel.run_many([(config, DESIGN)])
+        (entry,) = tmp_path.glob("*.json")
+        lines = entry.read_text().split("\n")[1:-1]
+        loaded, tier = cache.lookup(config, DESIGN)
+        assert tier == "disk" and loaded == computed
+        if expected == "stored":
+            assert len(lines) > 1 and loaded.trace == lines == computed.trace
+        else:
+            assert loaded.trace == computed.trace == expected and lines == []
 
     def test_entry_bytes_depend_only_on_the_result(self, tmp_path):
         """No timestamp, pid or path inside: two stores, identical files."""
@@ -317,9 +344,9 @@ class TestDiskPartialWrites:
     rename.  None of these may crash a sweep or be served as a result.
     """
 
-    def _seed_entry(self, tmp_path):
+    def _seed_entry(self, tmp_path, obs=None):
         cache.set_cache_dir(tmp_path)
-        config = fast_config()
+        config = fast_config(obs=obs)
         (computed,) = parallel.run_many([(config, DESIGN)])
         entry = next(Path(tmp_path).glob("*.json"))
         return config, computed, entry
@@ -337,7 +364,37 @@ class TestDiskPartialWrites:
         whole = entry.read_text()
         entry.write_text(whole[: len(whole) // 2])
         assert cache.lookup(config, DESIGN) == (None, "miss")
+        assert not entry.exists()
         assert parallel.run_many([(config, DESIGN)]) == [computed]
+
+    @pytest.mark.parametrize("cut", [
+        lambda whole: whole[: len(whole) // 2],
+        # Whole trace lines lost: the count disagrees with the header.
+        lambda whole: whole[: whole.rindex("\n", 0, -1) + 1],
+        # The last trace line cut short: the file lacks its final newline.
+        lambda whole: whole[:-2],
+    ], ids=["half", "last-line-lost", "inside-last-line"])
+    def test_traced_entry_cut_short_is_a_miss_and_heals(self, tmp_path, cut):
+        config, computed, entry = self._seed_entry(tmp_path, TRACED)
+        whole = entry.read_text()
+        assert whole.index("\n") < len(cut(whole))  # the cut is in the trace
+        entry.write_text(cut(whole))
+        assert cache.lookup(config, DESIGN) == (None, "miss")
+        assert not entry.exists()
+        assert parallel.run_many([(config, DESIGN)]) == [computed]
+
+    @pytest.mark.parametrize("obs", [None, TRACED], ids=["untraced", "traced"])
+    def test_single_document_entry_is_a_miss(self, tmp_path, obs):
+        """An entry in the older layout — one JSON document, the trace an
+        escaped list inside ``result`` — is evicted, never misread."""
+        config, computed, entry = self._seed_entry(tmp_path, obs)
+        entry.write_text(canonical.dumps({
+            "schema": cache.SCHEMA_VERSION, "key": entry.stem,
+            "controller": computed.controller_name, "seed": computed.seed,
+            "result": asdict(computed),
+        }))
+        assert cache.lookup(config, DESIGN) == (None, "miss")
+        assert not entry.exists()
 
     def test_entry_missing_result_field_is_a_miss(self, tmp_path):
         config, computed, entry = self._seed_entry(tmp_path)
