@@ -9,12 +9,14 @@ effective loss floor of the design.
 
 Section 2.2.2's accuracy argument (probes must last many multiples of
 ``1/epsilon`` packet transmissions) and the classical Erlang-B blocking
-formula (for sanity-checking scenario load levels) are also provided.
+formula (for sanity-checking scenario load levels) are also provided,
+with the exact blocking of the parking-lot loss network built on it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.units import BITS_PER_BYTE
@@ -116,10 +118,81 @@ def erlang_b(offered_erlangs: float, servers: int) -> float:
         )
     if servers < 0:
         raise ConfigurationError(f"servers must be non-negative, got {servers!r}")
-    b = 1.0
-    for k in range(1, servers + 1):
-        b = offered_erlangs * b / (k + offered_erlangs * b)
-    return b
+    return _erlang_b_table(offered_erlangs, servers)[-1]
+
+
+def _erlang_b_table(offered_erlangs: float, servers: int) -> List[float]:
+    """``erlang_b(a, m)`` for ``m = 0..servers``, by one pass of the recursion."""
+    table = [1.0]
+    for m in range(1, servers + 1):
+        b = table[-1]
+        table.append(offered_erlangs * b / (m + offered_erlangs * b))
+    return table
+
+
+def _truncated_poisson(offered_erlangs: float, servers: int) -> Tuple[List[float], List[float]]:
+    """``(pmf, cdf)`` of Poisson(a) truncated to ``0..servers``.
+
+    With ``E(a, m) = sum_{j<=m} a^j/j!``, ``cdf[m] = E(a, m) / E(a, k)`` and
+    ``pmf[n] = (a^n/n!) / E(a, k)``.  Both come from Erlang-B values,
+    ``B(a, m) = (a^m/m!) / E(a, m)``, so nothing overflows:
+    ``cdf[m - 1] = cdf[m] * (1 - B(a, m))`` and ``pmf[n] = B(a, n) * cdf[n]``.
+    """
+    blocking = _erlang_b_table(offered_erlangs, servers)
+    cdf = [1.0] * (servers + 1)
+    for m in range(servers, 0, -1):
+        cdf[m - 1] = cdf[m] * (1.0 - blocking[m])
+    return [b * c for b, c in zip(blocking, cdf)], cdf
+
+
+def parking_lot_blocking(
+    long_erlangs: float, cross_erlangs: Sequence[float], servers: int,
+) -> Tuple[float, Tuple[float, ...]]:
+    """Exact blocking of the parking-lot loss network.
+
+    One long route crosses every link; link ``i`` also carries one cross
+    route offered ``cross_erlangs[i]``; every link fits ``servers`` flows.
+    With fixed routes and Poisson arrivals the stationary law is product
+    form (Kelly, "Loss networks", 1991), so with ``E(a, m) = sum_{j<=m}
+    a^j/j!`` and ``a_l`` the long route's load the normaliser is the
+    one-dimensional sum ``G = sum_{n<=k} a_l^n/n! * prod_i E(a_i, k - n)``
+    over the long route's flow count ``n``.  The long route is blocked
+    with probability ``1 - G'/G``, ``G'`` being the same sum with ``k - 1``
+    for ``k``; cross route ``i`` is blocked when ``n + n_i = k``, so only
+    its own factor takes ``k - 1 - n``.  On one link this is
+    ``erlang_b(a_l + a_1, k)``.
+
+    Returns ``(long-route blocking, per-cross-route blocking)``.
+    """
+    if not cross_erlangs:
+        raise ConfigurationError("the parking lot needs at least one link")
+    for load in (long_erlangs, *cross_erlangs):
+        if load < 0:
+            raise ConfigurationError(f"offered load must be non-negative, got {load!r}")
+    if servers < 0:
+        raise ConfigurationError(f"servers must be non-negative, got {servers!r}")
+    # Terms are scaled by E(a_l, k) * prod_i E(a_i, k), which cancels in
+    # every ratio below.
+    long_pmf, _ = _truncated_poisson(long_erlangs, servers)
+    cross_cdfs = [_truncated_poisson(a, servers)[1] for a in cross_erlangs]
+
+    def room(n: int, k: int) -> List[float]:
+        """``E(a_i, k - n)`` per link, scaled, for ``n <= k``."""
+        return [cdf[k - n] for cdf in cross_cdfs]
+
+    total = sum(long_pmf[n] * math.prod(room(n, servers)) for n in range(servers + 1))
+    long_room = sum(
+        long_pmf[n] * math.prod(room(n, servers - 1)) for n in range(servers)
+    )
+    cross = []
+    for i in range(len(cross_cdfs)):
+        mass = 0.0
+        for n in range(servers):
+            factors = room(n, servers)
+            factors[i] = cross_cdfs[i][servers - 1 - n]
+            mass += long_pmf[n] * math.prod(factors)
+        cross.append(1.0 - mass / total)
+    return 1.0 - long_room / total, tuple(cross)
 
 
 def offered_flow_erlangs(interarrival_s: float, lifetime_s: float) -> float:

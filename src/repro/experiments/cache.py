@@ -30,7 +30,7 @@ import re
 from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import canonical
 from repro.experiments.runner import (
@@ -84,6 +84,10 @@ def get_cache_dir() -> Optional[str]:
 #: Exact types :func:`_canonical` passes through unchanged.
 _LEAF = frozenset({str, int, float, bool, type(None)})
 
+#: The canonicaliser of every non-leaf type seen so far, built by
+#: :func:`_plan` on the type's first value.  Keyed by type, never by value.
+_PLANS: Dict[type, Callable[[Any], Any]] = {}
+
 
 def _canonical(value: Any) -> Any:
     """JSON-ready canonical form of configs/specs for key material.
@@ -95,24 +99,50 @@ def _canonical(value: Any) -> Any:
 
     Leaves outnumber containers four to one in a ``(config, design)``
     pair, so the exact leaf types are tested first; ``type(...) in`` (not
-    ``isinstance``) keeps a ``str``-mixin Enum on the enum branch.
+    ``isinstance``) keeps a ``str``-mixin Enum on the enum branch.  Every
+    other value runs its type's plan (:func:`_plan`).
     """
-    if type(value) in _LEAF:
+    kind = type(value)
+    if kind in _LEAF:
         return value
-    if is_dataclass(value) and not isinstance(value, type):
-        out: Dict[str, Any] = {"__dataclass__": type(value).__name__}
-        for f in fields(value):
-            out[f.name] = _canonical(getattr(value, f.name))
-        return out
-    if isinstance(value, Enum):
-        return [type(value).__name__, value.value]
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
+    plan = _PLANS.get(kind)
+    if plan is None:
+        plan = _PLANS[kind] = _plan(kind)
+    return plan(value)
+
+
+def _plan(kind: type) -> Callable[[Any], Any]:
+    """How :func:`_canonical` turns a value of the non-leaf type ``kind``.
+
+    Which form a value takes depends on its type alone, so the tests run
+    once per type, in the order that fixes the form: a dataclass instance,
+    an Enum before its ``str``/``int`` mixin, list/tuple, dict, a subclass
+    of a leaf type, else ``repr``.  A class object passed as a value is
+    not a dataclass instance: its type is ``type`` (or a metaclass), so
+    it takes ``repr``.  A dataclass's plan holds its tag and field names,
+    so ``fields()`` runs once per class, not once per value.
+    """
+    if is_dataclass(kind):
+        tag = kind.__name__
+        names = tuple(f.name for f in fields(kind))
+
+        def dataclass_form(value: Any) -> Dict[str, Any]:
+            out: Dict[str, Any] = {"__dataclass__": tag}
+            for name in names:
+                out[name] = _canonical(getattr(value, name))
+            return out
+        return dataclass_form
+    if issubclass(kind, Enum):
+        return lambda value: [kind.__name__, value.value]
+    if issubclass(kind, (list, tuple)):
+        return lambda value: [_canonical(v) for v in value]
+    if issubclass(kind, dict):
+        return lambda value: {
+            str(k): _canonical(v) for k, v in sorted(value.items())
+        }
+    if issubclass(kind, (str, int, float, bool)):
+        return lambda value: value
+    return repr
 
 
 #: Module names whose import closure defines the code fingerprint: the
@@ -248,16 +278,18 @@ def run_key(config: ScenarioConfig, design: ControllerSpec = None) -> str:
 # public cache API
 # ---------------------------------------------------------------------------
 
-def _disk_path(config: ScenarioConfig, design: ControllerSpec) -> Optional[Path]:
-    """Entry file of one run (``<run_key>.json``); ``None`` with the cache off.
+def _disk_path(config: ScenarioConfig, design: ControllerSpec) -> Optional[str]:
+    """Entry file of one run, ``<dir>/<run_key>.json`` as one string;
+    ``None`` with the cache off.
 
     The directory is tested first: the key needs the code fingerprint, a
     regex scan of the source tree's ``repro`` imports that a run without a
-    cache never needs.
+    cache never needs.  A string, not a :class:`Path`: a warm hit opens it
+    once, and joining a ``Path`` costs as much as the read.
     """
     if _disk_dir is None:
         return None
-    return _disk_dir / f"{run_key(config, design)}.json"
+    return f"{_disk_dir}/{run_key(config, design)}.json"
 
 
 def lookup(config: ScenarioConfig, design: ControllerSpec = None) -> Tuple[Optional[ScenarioResult], str]:
@@ -265,33 +297,35 @@ def lookup(config: ScenarioConfig, design: ControllerSpec = None) -> Tuple[Optio
 
     Always a miss with the cache off.  A corrupt, truncated, or
     schema-mismatched file is deleted and reported as a miss — a bad cache
-    entry costs one recomputation, never a crash.  Only the header line is
-    parsed; the trace comes back by splitting the rest of the file, and a
-    line count that disagrees with the header's ``trace_lines`` (an entry
-    cut short) counts as corrupt.
+    entry costs one recomputation, never a crash.  The entry is read as
+    bytes in one call and decoded as ASCII (:func:`store` writes nothing
+    else, so a stray byte is corruption); only the header line is parsed,
+    the trace is the rest of the file's lines, and a line count that
+    disagrees with the header's ``trace_lines`` (an entry cut short)
+    counts as corrupt.
     """
     path = _disk_path(config, design)
     if path is None:
         return None, "miss"
     try:
-        header, *trace = path.read_text().split("\n")
-        payload = json.loads(header)
+        with open(path, "rb") as entry:
+            lines = entry.read().decode("ascii").split("\n")
+        payload = json.loads(lines[0])
         if payload["schema"] != SCHEMA_VERSION:
             raise ValueError(f"schema {payload['schema']!r}")
         count = payload["trace_lines"]
         # Every line ends in a newline: a cut inside the last line leaves
         # a non-empty tail, a cut between lines a short count.
-        if trace[-1:] != [""] or len(trace) - 1 != (count or 0):
-            raise ValueError(f"{len(trace) - 1} trace lines, header says {count!r}")
-        trace.pop()
+        if lines[-1] or len(lines) - 2 != (count or 0):
+            raise ValueError(f"{len(lines) - 2} trace lines, header says {count!r}")
         raw = payload["result"]
-        raw["trace"] = None if count is None else trace
+        raw["trace"] = None if count is None else lines[1:-1]
         return ScenarioResult(**{name: raw[name] for name in _RESULT_FIELDS}), "disk"
     except FileNotFoundError:
         return None, "miss"
     except (OSError, ValueError, KeyError, TypeError):
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
         return None, "miss"
@@ -307,12 +341,14 @@ def store(config: ScenarioConfig, design: ControllerSpec, result: ScenarioResult
     Line 1 is the canonical JSON header — the result without its trace,
     plus ``trace_lines``, the trace's line count (``None`` when untraced)
     — and the trace's canonical lines follow verbatim, each ending in a
-    newline.  Canonical JSON escapes control characters, so a trace line
-    never holds a raw newline.
+    newline.  Canonical JSON escapes control characters and every
+    non-ASCII character, so a trace line never holds a raw newline and
+    the whole entry is ASCII.
     """
-    path = _disk_path(config, design)
-    if path is None:
+    name = _disk_path(config, design)
+    if name is None:
         return
+    path = Path(name)
     raw = asdict(result)
     trace = raw.pop("trace")
     payload = {
@@ -340,9 +376,13 @@ def disk_cache_size() -> int:
 
 
 def clear_cache(disk: bool = True) -> None:
-    """Empty the cache directory; ``disk=False`` is accepted and does nothing."""
+    """Empty the cache directory; ``disk=False`` is accepted and does nothing.
+
+    Entries go, and so do the temp files of writers killed before their
+    rename (``<key>.json.tmp<pid>``, see :func:`canonical.atomic_write_text`).
+    """
     if disk and _disk_dir is not None and _disk_dir.is_dir():
-        for path in _disk_dir.glob("*.json"):
+        for path in [*_disk_dir.glob("*.json"), *_disk_dir.glob("*.json.tmp*")]:
             try:
                 path.unlink()
             except OSError:

@@ -1,5 +1,6 @@
 """Unit tests for the closed-form analysis helpers."""
 
+import itertools
 import math
 
 import pytest
@@ -107,3 +108,67 @@ def test_high_load_blocking_floor():
 def test_validation(fn, args):
     with pytest.raises(ConfigurationError):
         fn(*args)
+
+
+def _enumerated_parking_lot(long_erlangs, cross_erlangs, servers):
+    """Parking-lot blocking by summing the product-form law over every
+    state ``(n, n_1, ..., n_L)`` with ``n + n_i <= k`` on each link."""
+    def weight(a, n):
+        return a ** n / math.factorial(n)
+
+    total = long_blocked = 0.0
+    cross_blocked = [0.0] * len(cross_erlangs)
+    for n in range(servers + 1):
+        for counts in itertools.product(range(servers - n + 1),
+                                        repeat=len(cross_erlangs)):
+            w = weight(long_erlangs, n)
+            for a, m in zip(cross_erlangs, counts):
+                w *= weight(a, m)
+            total += w
+            if any(n + m == servers for m in counts):
+                long_blocked += w
+            for i, m in enumerate(counts):
+                if n + m == servers:
+                    cross_blocked[i] += w
+    return long_blocked / total, tuple(b / total for b in cross_blocked)
+
+
+@pytest.mark.parametrize("links", [1, 2, 3])
+@pytest.mark.parametrize("servers", range(7))
+def test_parking_lot_blocking_matches_state_enumeration(links, servers):
+    for long_erlangs, cross in [
+        (0.7, (1.3, 1.3, 1.3)),
+        (4.0, (0.0, 2.5, 9.0)),
+        (0.0, (5.0, 0.2, 5.0)),
+        (12.0, (0.3, 7.0, 1.0)),
+    ]:
+        cross = cross[:links]
+        exact_long, exact_cross = analysis.parking_lot_blocking(
+            long_erlangs, cross, servers
+        )
+        long_blocked, cross_blocked = _enumerated_parking_lot(
+            long_erlangs, cross, servers
+        )
+        assert exact_long == pytest.approx(long_blocked, abs=1e-12)
+        assert exact_cross == pytest.approx(cross_blocked, abs=1e-12)
+
+
+@pytest.mark.parametrize("long_erlangs, cross_erlangs, servers", [
+    (3.0, 2.0, 4), (40.0, 45.7, 78), (0.0, 300.0, 78), (25.0, 0.0, 10),
+])
+def test_parking_lot_of_one_link_is_erlang_b(long_erlangs, cross_erlangs, servers):
+    """One link, two routes sharing it: the pooled Erlang-B blocking."""
+    pooled = analysis.erlang_b(long_erlangs + cross_erlangs, servers)
+    exact_long, (exact_cross,) = analysis.parking_lot_blocking(
+        long_erlangs, [cross_erlangs], servers
+    )
+    assert exact_long == pytest.approx(pooled, rel=1e-12)
+    assert exact_cross == pytest.approx(pooled, rel=1e-12)
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, [], 3), (-1.0, [1.0], 3), (1.0, [1.0, -0.5], 3), (1.0, [1.0], -1),
+])
+def test_parking_lot_blocking_validation(args):
+    with pytest.raises(ConfigurationError):
+        analysis.parking_lot_blocking(*args)

@@ -218,12 +218,18 @@ class TestDiskCache:
         assert cache.lookup(config, DESIGN) == (None, "miss")
 
     def test_clear_cache_empties_the_directory(self, tmp_path):
+        """Entries go, and so does the temp file of a writer killed before
+        its rename, which ``disk_cache_size`` never counted."""
         cache.set_cache_dir(tmp_path)
         parallel.run_many([(fast_config(), DESIGN)])
+        (entry,) = tmp_path.glob("*.json")
+        stray = entry.with_name(f"{entry.name}.tmp4242")
+        stray.write_text(entry.read_text()[:100])
         cache.clear_cache(disk=False)  # kept for old callers: does nothing
         assert cache.disk_cache_size() == 1
         cache.clear_cache()
         assert cache.disk_cache_size() == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestResolveJobs:
