@@ -30,15 +30,15 @@ def atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file and ``os.replace``.
 
     The temp name carries the pid, so concurrent writers of one path never
-    share it.  On failure the temp file is removed before the ``OSError``
-    propagates.  Nothing is fsynced: artifacts are reproducible, and
-    sweeps write thousands of small ones.
+    share it.  On any failure, ``KeyboardInterrupt`` included, the temp
+    file is removed before the exception propagates.  Nothing is fsynced:
+    artifacts are reproducible, and sweeps write thousands of small ones.
     """
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         try:
             tmp.unlink()
         except OSError:

@@ -40,7 +40,7 @@ from repro.core.design import (
 )
 from repro.errors import ReproError
 from repro.experiments import cache, figures, parallel
-from repro.experiments.runner import MbacConfig, ReplicatedResult
+from repro.experiments.runner import MbacConfig
 from repro.experiments.scenarios import SCENARIOS, get_scenario
 from repro.obs import ObsConfig
 from repro.obs.export import write_artifact
@@ -103,9 +103,9 @@ def _apply_execution_options(args: argparse.Namespace) -> parallel.ProgressTrack
     its timing summary after the work is done.
     """
     parallel.set_jobs(args.jobs)
-    parallel.set_task_timeout(getattr(args, "task_timeout", None))
-    parallel.set_profile(bool(getattr(args, "profile", False)))
-    parallel.set_obs_dir(getattr(args, "obs_dir", None))
+    parallel.set_task_timeout(args.task_timeout)
+    parallel.set_profile(args.profile)
+    parallel.set_obs_dir(args.obs_dir)
     cache.set_cache_dir(None if args.no_cache else args.cache_dir)
     tracker = parallel.ProgressTracker(stream=sys.stderr)
     parallel.set_progress(tracker)
@@ -145,7 +145,7 @@ def _obs_config(args: argparse.Namespace) -> Optional[ObsConfig]:
     want_metrics = args.metrics is not None
     want_timeseries = args.timeseries is not None
     if not want_trace and not want_metrics and not want_timeseries:
-        if getattr(args, "obs_dir", None) is not None:
+        if args.obs_dir is not None:
             return ObsConfig(
                 timeseries=True,
                 sample_every=_parse_samples(args.trace_sample),
@@ -184,12 +184,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{args.seeds} produces several runs; use --obs-dir for "
                 f"per-run artifacts"
             )
-        tasks = [
-            (config.with_seed(seed), spec)
-            for seed in range(args.seed, args.seed + args.seeds)
-        ]
-        aggregate = ReplicatedResult.aggregate(parallel.iter_run_results(tasks))
-        if getattr(args, "profile", False):
+        seeds = range(args.seed, args.seed + args.seeds)
+        aggregate = parallel.replicate_many([(config, spec)], seeds)[0]
+        if args.profile:
             print(tracker.summary(), file=sys.stderr)
         print(f"controller : {aggregate.controller_name}")
         print(f"seeds      : {aggregate.seeds}")
@@ -210,7 +207,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             entry = write_artifact(Path(path), kind, payload)
             count = f"{entry['records']} {unit} " if unit else ""
             print(f"{kind:<11}: {count}-> {path}", file=sys.stderr)
-    if getattr(args, "profile", False):
+    if args.profile:
         print(tracker.summary(), file=sys.stderr)
     print(f"controller : {result.controller_name}")
     print(f"utilization: {result.utilization:.4f}")

@@ -172,3 +172,48 @@ def test_parking_lot_of_one_link_is_erlang_b(long_erlangs, cross_erlangs, server
 def test_parking_lot_blocking_validation(args):
     with pytest.raises(ConfigurationError):
         analysis.parking_lot_blocking(*args)
+
+
+@pytest.mark.parametrize("long_erlangs, cross_erlangs, servers", [
+    (3.0, 2.0, 4), (40.0, 45.7, 78), (0.0, 300.0, 78), (25.0, 0.0, 10),
+])
+def test_reduced_load_of_one_link_is_erlang_b(long_erlangs, cross_erlangs, servers):
+    pooled = analysis.erlang_b(long_erlangs + cross_erlangs, servers)
+    fixed_long, (fixed_cross,) = analysis.reduced_load_blocking(
+        long_erlangs, [cross_erlangs], servers
+    )
+    assert fixed_long == pytest.approx(pooled, abs=1e-12)
+    assert fixed_cross == pytest.approx(pooled, abs=1e-12)
+
+
+def test_reduced_load_error_falls_as_the_parking_lot_scales(monkeypatch):
+    """Loads and capacity scaled together by s: the fixed point's relative
+    error against the exact sum falls at every step (1.9 % at s = 1,
+    under 0.5 % at s = 32), and every solve takes under 30 substitutions."""
+    calls = []
+    erlang_b = analysis.erlang_b
+
+    def counted(a, k):
+        calls.append(a)
+        return erlang_b(a, k)
+
+    errors = []
+    for s in range(1, 33):
+        long_erlangs, cross, servers = 3.0 * s, [8.0 * s] * 3, 10 * s
+        exact_long, _ = analysis.parking_lot_blocking(long_erlangs, cross, servers)
+        calls.clear()
+        monkeypatch.setattr(analysis, "erlang_b", counted)
+        fixed_long, _ = analysis.reduced_load_blocking(long_erlangs, cross, servers)
+        monkeypatch.setattr(analysis, "erlang_b", erlang_b)
+        assert len(calls) < 30 * len(cross)
+        errors.append(abs(fixed_long - exact_long) / exact_long)
+    assert all(later < earlier for earlier, later in zip(errors, errors[1:]))
+    assert errors[0] > 0.015 and errors[-1] < 0.005
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, [], 3), (-1.0, [1.0], 3), (1.0, [1.0, -0.5], 3), (1.0, [1.0], -1),
+])
+def test_reduced_load_blocking_validation(args):
+    with pytest.raises(ConfigurationError):
+        analysis.reduced_load_blocking(*args)
