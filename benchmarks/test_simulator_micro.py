@@ -20,7 +20,7 @@ from repro.experiments import cache, parallel
 from repro.experiments.report import format_table
 from repro.experiments.runner import ScenarioConfig
 from repro.net.link import OutputPort
-from repro.net.packet import DATA, FlowAccounting, Packet
+from repro.net.packet import DATA, FlowAccounting, Packet, packet_path
 from repro.net.queues import DropTailFifo
 from repro.net.sink import Sink
 from repro.sim.engine import Simulator
@@ -104,12 +104,13 @@ def test_datapath_packet_throughput(benchmark):
         port = OutputPort(sim, 1e9, DropTailFifo(1000), 0.0)
         sink = Sink(sim)
         flow = FlowAccounting(1)
+        path = packet_path([port], sink)
 
         def offer(n):
             if n <= 0:
                 return
             flow.sent += 1
-            port.send(Packet(125, DATA, flow, [port], sink))
+            port.send(Packet(125, DATA, flow, path))
             sim.call(1e-6, offer, n - 1)
 
         offer(50_000)

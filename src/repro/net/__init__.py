@@ -11,6 +11,7 @@ from repro.net.packet import (
     FlowAccounting,
     Packet,
     Receiver,
+    packet_path,
 )
 from repro.net.queues import (
     DropTailFifo,
@@ -43,6 +44,7 @@ __all__ = [
     "Sink",
     "TwoLevelPriorityQueue",
     "VirtualQueue",
+    "packet_path",
     "parking_lot",
     "single_link",
 ]

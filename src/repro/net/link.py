@@ -168,7 +168,7 @@ class OutputPort:
                 tr.emit("port", self.sim.now, event="blackhole",
                         port=self.name, kind=pkt.kind, flow=pkt.flow.flow_id)
             pkt.flow.note_lost()
-            pkt.flow.release(pkt)
+            pkt.release()
             return
         model = self.loss_model
         if model is not None and model.should_drop():
@@ -180,7 +180,7 @@ class OutputPort:
                 tr.emit("port", self.sim.now, event="wire-loss",
                         port=self.name, kind=pkt.kind, flow=pkt.flow.flow_id)
             pkt.flow.note_dropped()
-            pkt.flow.release(pkt)
+            pkt.release()
             return
         stats = self.stats
         kind = pkt.kind
@@ -200,12 +200,16 @@ class OutputPort:
     def _start_next(self) -> None:
         # Every serialization takes the engine's chain slot: a port's next
         # completion is usually the next event due, so it skips the heap.
+        # The idle hook fires on every busy -> idle transition and only
+        # then: a call on a port that is already idle (``set_enabled(True)``
+        # after an outage) does not restart the idle clock.
         pkt = self.qdisc.dequeue()
         if pkt is None:
-            self.busy = False
-            idle_hook = self._idle_hook
-            if idle_hook is not None:
-                idle_hook(self.sim.now)
+            if self.busy:
+                self.busy = False
+                idle_hook = self._idle_hook
+                if idle_hook is not None:
+                    idle_hook(self.sim.now)
             return
         self.busy = True
         self.sim.call_chained(pkt.size * self._tx_per_byte, self._tx_done, pkt)
@@ -213,15 +217,16 @@ class OutputPort:
     def _tx_done(self, pkt: Packet) -> None:
         if not self.enabled:
             # The port went down mid-serialization: the packet is lost and
-            # the transmitter idles until set_enabled(True) restarts it.
+            # the transmitter idles (the flushed queue is empty) until
+            # set_enabled(True) restarts it.
             self.fault_drops += 1
             tr = self.trace
             if tr is not None:
                 tr.emit("port", self.sim.now, event="blackhole-tx",
                         port=self.name, kind=pkt.kind, flow=pkt.flow.flow_id)
             pkt.flow.note_lost()
-            pkt.flow.release(pkt)
-            self.busy = False
+            pkt.release()
+            self._start_next()
             return
         stats = self.stats
         kind = pkt.kind
@@ -241,12 +246,12 @@ class OutputPort:
             # category; sample it (ObsConfig.sample_every) in real runs.
             tr.emit("tx", self.sim.now, port=self.name, kind=kind,
                     size=pkt.size, flow=pkt.flow.flow_id, seq=pkt.seq)
-        # Hand-off: the next hop is resolved here, once, and is what fires
-        # at the far end of the wire (nothing reads ``pkt.hop`` in between).
+        # Hand-off: the next step of the packet's path (the next port's
+        # ``send`` or the sink's ``receive``) is what fires at the far end
+        # of the wire (nothing reads ``pkt.hop`` in between).
         hop = pkt.hop + 1
         pkt.hop = hop
-        route = pkt.route
-        target = route[hop].send if hop < len(route) else pkt.sink.receive
+        target = pkt.path[hop]
         wire = self._wire
         if wire is not None:
             wire.call(target, pkt)
@@ -278,7 +283,7 @@ class OutputPort:
                 self.fault_drops += 1
                 flushed += 1
                 pkt.flow.note_lost()
-                pkt.flow.release(pkt)
+                pkt.release()
                 pkt = self.qdisc.dequeue()
             tr = self.trace
             if tr is not None:

@@ -7,18 +7,22 @@ a packet increments counters on the packet's accounting record directly,
 which is both faster and simpler than routing loss notifications back
 through the topology.
 
-Each accounting object doubles as a packet free list (DESIGN.md §11):
-sources acquire packets through :meth:`FlowAccounting.acquire` and the
-datapath returns dead packets — delivered, dropped, or blackholed — through
-:meth:`FlowAccounting.release`.  A reused packet is reinitialized field by
-field on acquire, so pooling is invisible to everything downstream; keying
-the pool by the owning flow means a packet can never resurface under
-another flow's accounting.
+A packet carries its *path*, the tuple of callables it visits in order
+(``route[0].send, ..., route[-1].send, sink.receive``; see
+:func:`packet_path`), so a port hands a packet on with one tuple index.
+It also carries its *home*, the free list it returns to when it dies:
+delivered, dropped or blackholed, the datapath calls
+:meth:`Packet.release` and the packet goes back to the list that made it
+(DESIGN.md §11).  A :class:`~repro.traffic.base.Source` owns its free
+list and stamps its packets' constant fields once, at construction;
+:meth:`FlowAccounting.acquire` keeps one per flow for callers that build
+packets of varying shape, and reinitializes every field.  A packet with
+no home (a TCP segment) is left to the garbage collector.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 if TYPE_CHECKING:
     from repro.net.link import OutputPort
@@ -36,19 +40,22 @@ KIND_NAMES = {DATA: "data", PROBE: "probe", BEST_EFFORT: "best-effort", ACK: "ac
 PRIO_DATA = 0
 PRIO_PROBE = 1
 
-#: Per-flow packet pool bound.  A CBR flow keeps only a handful of packets
-#: in flight, but bursty sources (and the probe trains of the paper's
-#: slow-start designs) release whole windows at once; the cap covers a
-#: full queue's worth of backlog without letting a pathological flow
-#: hoard memory.
-POOL_MAX = 256
-
 
 class Receiver(Protocol):
     """Anything that can terminate a packet route (see :class:`Packet`)."""
 
     def receive(self, pkt: "Packet") -> None:
         """Accept one delivered packet."""
+
+
+#: The callables a packet visits in order: each port's ``send``, then the
+#: sink's ``receive``.
+Path = Tuple[Callable[["Packet"], None], ...]
+
+
+def packet_path(route: List["OutputPort"], sink: Receiver) -> Path:
+    """The path of a packet that crosses ``route`` and ends at ``sink``."""
+    return tuple([port.send for port in route] + [sink.receive])
 
 
 class FlowAccounting:
@@ -77,7 +84,7 @@ class FlowAccounting:
 
     __slots__ = ("flow_id", "sent", "delivered", "dropped", "marked", "lost",
                  "bytes_sent", "bytes_delivered", "drop_hook", "mark_hook",
-                 "_pool")
+                 "_pool", "_route", "_sink", "_path")
 
     def __init__(self, flow_id: int = -1) -> None:
         self.flow_id = flow_id
@@ -91,6 +98,10 @@ class FlowAccounting:
         self.drop_hook: Optional[Callable[[], None]] = None
         self.mark_hook: Optional[Callable[[], None]] = None
         self._pool: List["Packet"] = []
+        # The path of the last (route, sink) acquire was given.
+        self._route: Optional[List["OutputPort"]] = None
+        self._sink: Optional[Receiver] = None
+        self._path: Path = ()
 
     # -- packet pooling ---------------------------------------------------
 
@@ -105,12 +116,18 @@ class FlowAccounting:
         created: float = 0.0,
         payload: Any = None,
     ) -> "Packet":
-        """A packet owned by this flow, recycled from the pool when possible.
+        """A packet owned by this flow, recycled from its free list if possible.
 
-        Every field is (re)assigned here, so a pooled packet is
+        Every field is (re)assigned here, so a recycled packet is
         indistinguishable from a freshly constructed one — nothing from
-        its previous life (ECN bit, hop index, payload) survives.
+        its previous life (ECN bit, hop index, payload) survives.  The
+        path is rebuilt only when ``route`` or ``sink`` is not the object
+        of the previous call.
         """
+        if route is not self._route or sink is not self._sink:
+            self._route = route
+            self._sink = sink
+            self._path = packet_path(route, sink)
         pool = self._pool
         if pool:
             pkt = pool.pop()
@@ -119,32 +136,14 @@ class FlowAccounting:
             pkt.kind = kind
             pkt.prio = prio
             pkt.ecn = False
-            pkt.route = route
+            pkt.path = self._path
             pkt.hop = 0
-            pkt.sink = sink
             pkt.seq = seq
             pkt.created = created
             pkt.payload = payload
             return pkt
-        return Packet(size, kind, self, route, sink,
-                      prio=prio, seq=seq, created=created, payload=payload)
-
-    def release(self, pkt: "Packet") -> None:
-        """Return a dead packet to this flow's pool.
-
-        Only packets owned by this flow are accepted, a packet already in
-        the pool is ignored (double release is harmless), and the pool is
-        bounded — beyond :data:`POOL_MAX` the packet is left to the
-        garbage collector.  The payload reference is dropped immediately
-        so pooled packets never pin application objects.
-        """
-        if pkt.flow is not self or pkt.pooled:
-            return
-        pool = self._pool
-        if len(pool) < POOL_MAX:
-            pkt.pooled = True
-            pkt.payload = None
-            pool.append(pkt)
+        return Packet(size, kind, self, self._path, prio, seq, created,
+                      payload, pool)
 
     # -- counter updates --------------------------------------------------
 
@@ -196,43 +195,61 @@ class FlowAccounting:
 class Packet:
     """A packet in flight.
 
-    ``route`` is the ordered list of :class:`~repro.net.link.OutputPort`
-    objects the packet still has to traverse, ``hop`` the index of the next
-    one; when the route is exhausted the packet is handed to ``sink``.
+    ``path`` is the tuple of callables the packet visits in order (see
+    :func:`packet_path`) and ``hop`` the index of the one it is at.
+    ``home`` is the free list :meth:`release` returns the packet to, or
+    ``None`` for a packet nobody recycles.  Only the constructor,
+    :meth:`FlowAccounting.acquire` and
+    :meth:`~repro.traffic.base.Source._emit` assign ``size``, ``kind``,
+    ``prio``, ``flow``, ``path`` or ``home``, which is what lets a
+    source reuse a packet without resetting them.
     """
 
-    __slots__ = ("size", "kind", "prio", "flow", "ecn", "route", "hop",
-                 "sink", "seq", "created", "payload", "pooled")
+    __slots__ = ("size", "kind", "prio", "flow", "ecn", "path", "hop",
+                 "seq", "created", "payload", "pooled", "home")
 
     def __init__(
         self,
         size: int,
         kind: int,
         flow: FlowAccounting,
-        route: List["OutputPort"],
-        sink: Receiver,
+        path: Path,
         prio: int = PRIO_DATA,
         seq: int = 0,
         created: float = 0.0,
         payload: Any = None,
+        home: Optional[List["Packet"]] = None,
     ) -> None:
         self.size = size
         self.kind = kind
         self.prio = prio
         self.flow = flow
         self.ecn = False
-        self.route = route
+        self.path = path
         self.hop = 0
-        self.sink = sink
         self.seq = seq
         self.created = created
         self.payload = payload
-        #: True while the packet is parked in its flow's free list.
+        #: True while the packet is parked in its home free list.
         self.pooled = False
+        self.home = home
+
+    def release(self) -> None:
+        """Return this dead packet to its home free list.
+
+        A packet without a home, or already parked, is left alone (double
+        release is harmless).  The payload reference is dropped at once,
+        so a parked packet never pins an application object.
+        """
+        home = self.home
+        if home is not None and not self.pooled:
+            self.pooled = True
+            self.payload = None
+            home.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Packet({KIND_NAMES.get(self.kind, self.kind)}, size={self.size}, "
             f"flow={self.flow.flow_id}, seq={self.seq}, hop={self.hop}/"
-            f"{len(self.route)}, ecn={self.ecn})"
+            f"{len(self.path) - 1}, ecn={self.ecn})"
         )

@@ -59,12 +59,12 @@ def _drop(pkt: Packet) -> None:
 
     The packet is dead after this — dropped arrivals are forgotten by the
     caller and push-out victims have already left the queue — so it goes
-    back to its flow's free list.  The release happens *after* the drop
+    back to its home free list.  The release happens *after* the drop
     hook so an early-abort triggered by this very drop still observes the
     packet intact.
     """
     pkt.flow.note_dropped()
-    pkt.flow.release(pkt)
+    pkt.release()
 
 
 def _mark(pkt: Packet) -> None:

@@ -63,10 +63,10 @@ class Sink:
         callback = self.on_receive
         if callback is not None:
             # A receiver callback (TCP) may keep the packet; it owns the
-            # release decision, so the pool is bypassed here.
+            # release decision, so the packet is not released here.
             callback(pkt)
         else:
-            flow.release(pkt)
+            pkt.release()
 
     @property
     def mean_latency(self) -> float:

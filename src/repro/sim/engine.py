@@ -104,7 +104,8 @@ class ProfileSink(Protocol):
 
 # Index constants for the event record; kept module-private.  Lane records
 # carry a sixth field, the deque they wait in, so the loop can advance the
-# right lane.
+# right lane.  ``Simulator._loop`` spells these indices as literals (a
+# literal subscript skips a global lookup per use); this is the layout.
 _TIME, _SEQ, _FN, _ARG, _ALIVE, _QUEUE = 0, 1, 2, 3, 4, 5
 
 #: Stand-in for "no record" in the dispatch loop's selection: later than
@@ -433,7 +434,8 @@ class Simulator:
         ``careful``, fixed at entry and tested once per dispatch; the plain
         branch advances the clock and fires the callback inline, because at
         millions of events per sweep a Python-level call per event is the
-        dominant constant.
+        dominant constant.  For the same reason record fields are read by
+        literal index (layout at ``_TIME`` ... ``_QUEUE``).
         """
         self._stopped = False
         careful = single or self.strict or self._profile is not None
@@ -460,8 +462,8 @@ class Simulator:
             chain_fn = self._chain_fn
             if chain_fn is not None:
                 when = self._chain_time
-                if when < record[_TIME] or (
-                    when == record[_TIME] and self._chain_seq < record[_SEQ]
+                if when < record[0] or (
+                    when == record[0] and self._chain_seq < record[1]
                 ):
                     # The chain is due next: dispatch straight from the
                     # slot — no record, no heap op.  (The compaction check
@@ -481,11 +483,11 @@ class Simulator:
                     self._events_processed += 1
                     chain_fn(arg)
                     continue
-            when = record[_TIME]
-            if when > horizon and record[_ALIVE]:
+            when = record[0]
+            if when > horizon and record[4]:
                 break
             if in_lane:
-                queue = record[_QUEUE]
+                queue = record[5]
                 queue.popleft()
                 if queue:
                     replace(fronts, queue[0])
@@ -494,7 +496,7 @@ class Simulator:
             else:
                 pop(heap)
             cancelled = self._cancelled
-            if not record[_ALIVE]:
+            if not record[4]:
                 # Cancelled garbage: drop it and keep looking.
                 if cancelled > 0:
                     self._cancelled = cancelled - 1
@@ -502,15 +504,15 @@ class Simulator:
             # -- dispatch ------------------------------------------------
             if cancelled >= _COMPACT_MIN and cancelled > len(heap) // 2:
                 self._compact()
-            record[_ALIVE] = False
+            record[4] = False
             if careful:
-                self._fire_carefully(when, record[_FN], record[_ARG])
+                self._fire_carefully(when, record[2], record[3])
                 if single:
                     break
                 continue
             self.now = when
             self._events_processed += 1
-            record[_FN](record[_ARG])
+            record[2](record[3])
 
     def _fire_carefully(
         self, when: float, fn: Callable[[Any], Any], arg: Any

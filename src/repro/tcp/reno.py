@@ -24,7 +24,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError
-from repro.net.packet import ACK, BEST_EFFORT, FlowAccounting, Packet, Receiver
+from repro.net.packet import (
+    ACK, BEST_EFFORT, FlowAccounting, Packet, Receiver, packet_path,
+)
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 
@@ -76,7 +78,8 @@ class TcpReceiver:
         self.flow.sent += 1
         self.flow.bytes_sent += ACK_BYTES
         ack = Packet(
-            ACK_BYTES, ACK, self.flow, self.ack_route, self.ack_sink,
+            ACK_BYTES, ACK, self.flow,
+            packet_path(self.ack_route, self.ack_sink),
             seq=self.next_expected, created=self.sim.now,
             payload=self.next_expected,
         )
@@ -171,8 +174,10 @@ class TcpRenoSender:
             self._send_times.pop(seq, None)
         else:
             self._send_times[seq] = self.sim.now
+        # Built from the current route, which may be swapped mid-run.
         pkt = Packet(
-            self.mss, BEST_EFFORT, self.flow, self.route, self.data_sink,
+            self.mss, BEST_EFFORT, self.flow,
+            packet_path(self.route, self.data_sink),
             seq=seq, created=self.sim.now, payload=seq,
         )
         self.route[0].send(pkt)

@@ -2,22 +2,35 @@
 
 A source owns one side of a flow: it fabricates packets with the right
 kind/priority, stamps them onto a route, and updates the flow's accounting
-record at send time.  Sources are started and stopped by whoever manages
-the flow's lifecycle (an endpoint agent, an experiment runner, a test).
+record at send time.  Every packet of a source has the same size, kind,
+priority, flow and path, so the source stamps those once per packet
+object and recycles its own dead packets (DESIGN.md §11).  Sources are
+started and stopped by whoever manages the flow's lifecycle (an endpoint
+agent, an experiment runner, a test).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import ConfigurationError
 from repro.net.link import OutputPort
-from repro.net.packet import DATA, PRIO_DATA, FlowAccounting, Packet, Receiver
+from repro.net.packet import (
+    DATA, PRIO_DATA, FlowAccounting, Packet, Receiver, packet_path,
+)
 from repro.sim.engine import Simulator
 
 
 class Source:
     """Base class: packet fabrication plus start/stop bookkeeping.
+
+    At construction a source builds the path of its packets
+    (:func:`~repro.net.packet.packet_path`; route and sink are fixed for
+    the source's life) and an empty free list, which is the ``home`` of
+    every packet it makes.  :meth:`_emit` reuses a dead packet from that
+    list when there is one, resetting only the fields that differ between
+    two packets of one source.  A packet is built only when the list is
+    empty, so the list never holds more packets than were alive at once.
 
     Subclasses implement the emission schedule in :meth:`_on_start` and
     call :meth:`_emit` for every packet.  Every event a subclass schedules
@@ -44,8 +57,6 @@ class Source:
         if not route:
             raise ConfigurationError("source needs a non-empty route")
         self.sim = sim
-        self.route = route
-        self.sink = sink
         self.flow = flow
         self.packet_bytes = packet_bytes
         self.kind = kind
@@ -53,6 +64,8 @@ class Source:
         self.running = False
         self._seq = 0
         self._epoch = 0
+        self._path = packet_path(route, sink)
+        self._free: List[Packet] = []
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -73,22 +86,21 @@ class Source:
 
     # -- emission -------------------------------------------------------------
 
-    def _emit(self, size: Optional[int] = None) -> Packet:
-        """Send one packet of ``size`` bytes (default: ``packet_bytes``).
-
-        Packets come from the flow's free list (see
-        :meth:`~repro.net.packet.FlowAccounting.acquire`): a steady source
-        cycles a handful of packet objects instead of allocating one per
-        transmission.
-        """
-        nbytes = self.packet_bytes if size is None else size
+    def _emit(self) -> None:
+        """Send one packet of ``packet_bytes`` bytes down the path."""
         flow = self.flow
         flow.sent += 1
-        flow.bytes_sent += nbytes
-        self._seq += 1
-        pkt = flow.acquire(
-            nbytes, self.kind, self.route, self.sink, self.prio, self._seq,
-            self.sim.now,
-        )
-        self.route[0].send(pkt)
-        return pkt
+        flow.bytes_sent += self.packet_bytes
+        self._seq = seq = self._seq + 1
+        free = self._free
+        if free:
+            pkt = free.pop()
+            pkt.seq = seq
+            pkt.created = self.sim.now
+            pkt.hop = 0
+            pkt.ecn = False
+            pkt.pooled = False
+        else:
+            pkt = Packet(self.packet_bytes, self.kind, flow, self._path,
+                         self.prio, seq, self.sim.now, None, free)
+        self._path[0](pkt)

@@ -25,7 +25,12 @@ from repro.units import BITS_PER_BYTE
 
 
 class OnOffSource(Source):
-    """Base on-off behavior; subclasses supply the holding-time draws."""
+    """Base on-off behavior; subclasses supply the holding-time draws.
+
+    ``mean_off == 0`` is an always-on source: one ON period that never
+    ends, packet for packet a :class:`~repro.traffic.cbr.ConstantRateSource`
+    at the burst rate.
+    """
 
     def __init__(
         self,
@@ -78,7 +83,11 @@ class OnOffSource(Source):
     # period die with it.
 
     def _on_start(self, epoch: int) -> None:
-        duty = self.mean_on / (self.mean_on + self.mean_off) if self.mean_off else 1.0
+        if self.mean_off == 0:
+            # Always on: one ON period that never ends, with no draws.
+            self._emit_tick(epoch)
+            return
+        duty = self.mean_on / (self.mean_on + self.mean_off)
         if self.rng.random() < duty:
             self._begin_on(epoch)
         else:
@@ -95,9 +104,6 @@ class OnOffSource(Source):
         if epoch != self._epoch:
             return
         self._epoch = epoch = epoch + 1
-        if self.mean_off == 0:
-            self._begin_on(epoch)
-            return
         self.sim.call(self._draw_off(), self._begin_on, epoch)
 
     def _emit_tick(self, epoch: int) -> None:

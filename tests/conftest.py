@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.link import OutputPort
-from repro.net.packet import DATA, FlowAccounting, Packet
+from repro.net.packet import DATA, FlowAccounting, Packet, packet_path
 from repro.net.queues import DropTailFifo
 from repro.net.sink import Sink
 from repro.sim.engine import Simulator, set_strict_default
@@ -79,7 +79,8 @@ def make_link(sim, rate_bps=1e6, capacity=10, prop_delay=0.0, qdisc=None):
 
 
 def make_packet(flow, route, sink, size=125, kind=DATA, prio=0, seq=0, created=0.0):
-    return Packet(size, kind, flow, route, sink, prio=prio, seq=seq, created=created)
+    return Packet(size, kind, flow, packet_path(route, sink), prio=prio, seq=seq,
+                  created=created)
 
 
 def send_packets(sim, port, sink, n, size=125, flow=None, kind=DATA, prio=0):

@@ -31,7 +31,7 @@ def run_ops(queue, op_list):
         if is_enqueue:
             flow = flows.setdefault(flow_id, FlowAccounting(flow_id))
             kind = DATA if prio == PRIO_DATA else PROBE
-            pkt = Packet(125, kind, flow, [], None, prio=prio)
+            pkt = Packet(125, kind, flow, (), prio=prio)
             if queue.enqueue(pkt, 0.0):
                 enq += 1
         else:
@@ -56,7 +56,7 @@ def test_droptail_never_exceeds_capacity(op_list, capacity):
     queue = DropTailFifo(capacity)
     for is_enqueue, prio, flow_id in op_list:
         if is_enqueue:
-            queue.enqueue(Packet(125, DATA, FlowAccounting(flow_id), [], None), 0.0)
+            queue.enqueue(Packet(125, DATA, FlowAccounting(flow_id), ()), 0.0)
         else:
             queue.dequeue()
         assert queue.backlog_packets <= capacity
@@ -85,7 +85,7 @@ def level_packet(queue, prio, flow):
     """A packet at level ``prio % levels``: probes ride the bottom level."""
     prio %= queue.levels
     kind = PROBE if prio == queue.probe_level else DATA
-    return Packet(125, kind, flow, [], None, prio=prio)
+    return Packet(125, kind, flow, (), prio=prio)
 
 
 @priority_queues

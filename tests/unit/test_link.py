@@ -1,11 +1,13 @@
 """Unit tests for output ports (serialization, propagation, stats)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.link import OutputPort
 from repro.net.packet import BEST_EFFORT, DATA, PROBE, FlowAccounting
-from repro.net.queues import DropTailFifo
+from repro.net.queues import DropTailFifo, RedFifo
+from repro.sim.engine import Simulator
 
 from tests.conftest import make_link, make_packet, send_packets
 
@@ -141,3 +143,31 @@ def test_invalid_port_parameters(sim):
         OutputPort(sim, 0, DropTailFifo(1))
     with pytest.raises(ConfigurationError):
         OutputPort(sim, 1e6, DropTailFifo(1), prop_delay=-1.0)
+
+
+def _red_average_after_idle(outage: bool) -> float:
+    """RED's average at the first arrival after 100 s without service.
+
+    A 40-packet burst fills a 1 Mb/s RED port.  With ``outage`` the port
+    goes down mid-way through the first packet and comes back 100 s later;
+    without, it drains and idles.  Either way the arrival lands 1 us after
+    the recovery time.
+    """
+    sim = Simulator()
+    red = RedFifo(100, 1e6, np.random.default_rng(5), weight=0.2)
+    port, sink = make_link(sim, rate_bps=1e6, qdisc=red)
+    send_packets(sim, port, sink, 40)
+    if outage:
+        sim.call(0.0005, port.set_enabled, False)
+        sim.call(100.0005, port.set_enabled, True)
+    arrival = 100.0005 + 1e-6
+    sim.call(arrival, port.send, make_packet(FlowAccounting(2), [port], sink))
+    sim.run(until=arrival)
+    return red.average_queue
+
+
+def test_idle_hook_fires_when_an_outage_idles_the_transmitter():
+    """The idle clock starts when the doomed packet's serialization ends,
+    not when the port comes back (the average used to read 34.0)."""
+    assert _red_average_after_idle(outage=False) == 0.0
+    assert _red_average_after_idle(outage=True) == 0.0

@@ -9,7 +9,7 @@ from repro.net.vq import VirtualQueue
 
 
 def pkt(flow, prio, kind=DATA, seq=0):
-    return Packet(125, kind, flow, [], None, prio=prio, seq=seq)
+    return Packet(125, kind, flow, (), prio=prio, seq=seq)
 
 
 def test_levels_and_probe_level():

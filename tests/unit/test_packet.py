@@ -42,7 +42,8 @@ def test_snapshot_is_plain_dict():
 
 def test_packet_fields():
     flow = FlowAccounting(3)
-    pkt = Packet(125, PROBE, flow, ["port"], "sink", prio=PRIO_PROBE,
+    path = (print,)
+    pkt = Packet(125, PROBE, flow, path, prio=PRIO_PROBE,
                  seq=9, created=1.5)
     assert pkt.size == 125
     assert pkt.kind == PROBE
@@ -52,8 +53,10 @@ def test_packet_fields():
     assert not pkt.ecn
     assert pkt.seq == 9
     assert pkt.created == 1.5
+    assert pkt.path is path
+    assert pkt.home is None
 
 
 def test_packet_repr_mentions_kind():
-    pkt = Packet(125, DATA, FlowAccounting(1), [], None)
+    pkt = Packet(125, DATA, FlowAccounting(1), ())
     assert "data" in repr(pkt)

@@ -17,7 +17,7 @@ from repro.sim.rng import RandomStreams
 
 
 def pkt(flow, size=125, kind=DATA, prio=PRIO_DATA, seq=0):
-    return Packet(size, kind, flow, [], None, prio=prio, seq=seq)
+    return Packet(size, kind, flow, (), prio=prio, seq=seq)
 
 
 class TestDropTailFifo:

@@ -17,7 +17,7 @@ class TestSink:
     def test_counts_delivery_and_marks(self, sim):
         sink = Sink(sim)
         flow = FlowAccounting(1)
-        pkt = Packet(125, DATA, flow, [], sink)
+        pkt = Packet(125, DATA, flow, ())
         pkt.ecn = True
         sink.receive(pkt)
         assert flow.delivered == 1
@@ -29,9 +29,9 @@ class TestSink:
         flow = FlowAccounting(1)
         hits = []
         flow.mark_hook = lambda: hits.append(1)
-        marked = Packet(125, DATA, flow, [], sink)
+        marked = Packet(125, DATA, flow, ())
         marked.ecn = True
-        unmarked = Packet(125, DATA, flow, [], sink)
+        unmarked = Packet(125, DATA, flow, ())
         sink.receive(marked)
         sink.receive(unmarked)
         assert hits == [1]
@@ -39,7 +39,7 @@ class TestSink:
     def test_on_receive_callback(self, sim):
         got = []
         sink = Sink(sim, on_receive=got.append)
-        pkt = Packet(125, DATA, FlowAccounting(1), [], sink)
+        pkt = Packet(125, DATA, FlowAccounting(1), ())
         sink.receive(pkt)
         assert got == [pkt]
 
@@ -47,7 +47,7 @@ class TestSink:
         sink = Sink(sim, record_latency=True)
         sim.schedule(1.0, lambda: None)
         sim.run()
-        pkt = Packet(125, DATA, FlowAccounting(1), [], sink, created=0.25)
+        pkt = Packet(125, DATA, FlowAccounting(1), (), created=0.25)
         sink.receive(pkt)
         assert sink.mean_latency == pytest.approx(0.75)
         assert sink.latency_max == pytest.approx(0.75)

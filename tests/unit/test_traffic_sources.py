@@ -1,9 +1,14 @@
 """Unit tests for CBR and on-off sources."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net.link import OutputPort
 from repro.net.packet import PROBE, FlowAccounting
+from repro.net.queues import DropTailFifo
+from repro.net.sink import Sink
+from repro.sim.engine import Simulator
 from repro.traffic.cbr import ConstantRateSource
 from repro.traffic.onoff import ExponentialOnOffSource, ParetoOnOffSource
 
@@ -116,6 +121,32 @@ class TestExponentialOnOff:
         sim.run(until=2.0)
         src.stop()
         assert flow.sent == pytest.approx(512, abs=4)
+
+    def test_always_on_source_is_a_cbr_source_at_its_burst_rate(self):
+        """``mean_off == 0`` is one ON period that never ends: no renewal
+        restarts the tick train early (an EXP1-shaped source used to send
+        25 693 packets in 100 s where its burst rate gives 25 601)."""
+
+        def sent(make_source):
+            sim = Simulator()
+            port = OutputPort(sim, 1e9, DropTailFifo(1000), 0.0)
+            got = []
+            sink = Sink(sim, on_receive=lambda pkt: got.append(
+                (pkt.seq, pkt.created)))
+            flow = FlowAccounting(1)
+            src = make_source(sim, port, sink, flow)
+            src.start()
+            sim.run(until=100.0)
+            src.stop()
+            return flow.sent, got
+
+        always_on = sent(lambda sim, port, sink, flow: ExponentialOnOffSource(
+            sim, [port], sink, flow, 256e3, 0.5, 0.0, 125,
+            np.random.default_rng(3)))
+        constant = sent(lambda sim, port, sink, flow: ConstantRateSource(
+            sim, [port], sink, flow, 256e3, 125))
+        assert constant[0] == 25_601
+        assert always_on == constant
 
     def test_stop_silences(self, sim, rng):
         port, sink = make_link(sim, capacity=10000)
