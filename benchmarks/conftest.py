@@ -1,66 +1,18 @@
-"""Benchmark-suite plumbing.
+"""Session plumbing for the paper-claim tests: one persistent result cache.
 
-Every benchmark regenerates one of the paper's tables or figures.  The
-rendered rows/series are (a) appended to ``results/benchmark_report.txt``
-*immediately* as each benchmark finishes — so a partial run still leaves
-its regenerated artifacts on disk — and (b) echoed into the pytest
-terminal summary via ``pytest_terminal_summary``, which bypasses output
-capture, so a plain ``pytest benchmarks/ --benchmark-only | tee
-bench_output.txt`` captures the reproduced numbers alongside the timing
-table.
+Identical (config, design, seed) runs from an earlier session, or from an
+earlier test of this one, are served from ``results/cache/`` instead of
+being re-simulated; ``REPRO_CACHE_DIR`` overrides the location.  Delete the
+directory (or change the code) to force re-simulation.  ``repro-eac figure
+NAME...`` prints an artifact; these tests assert its shape.
 """
 
-from __future__ import annotations
-
 import os
-from typing import List, Tuple
-
-import pytest
 
 from repro.experiments import cache
 
-_REPORTS: List[Tuple[str, str]] = []
-_REPORT_PATH = os.path.join("results", "benchmark_report.txt")
-_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", os.path.join("results", "cache"))
-
-
-class FigureRecorder:
-    """Collects rendered figure/table text; flushes to disk per record."""
-
-    def record(self, name: str, text: str) -> None:
-        _REPORTS.append((name, text))
-        os.makedirs("results", exist_ok=True)
-        with open(_REPORT_PATH, "a") as fh:
-            fh.write(text + "\n\n")
-            fh.flush()
-
-
-@pytest.fixture(scope="session")
-def report() -> FigureRecorder:
-    return FigureRecorder()
-
 
 def pytest_sessionstart(session):
-    # Fresh report per benchmark session.
-    if os.path.exists(_REPORT_PATH):
-        os.remove(_REPORT_PATH)
-    # Benchmark sessions keep the persistent result cache on: identical
-    # (config, design, seed) runs from a previous session are served from
-    # ``results/cache/`` instead of being re-simulated.  REPRO_CACHE_DIR
-    # overrides the location; delete the directory (or bump the code) to
-    # force re-simulation.  Timing-sensitive micro-benchmarks disable the
-    # cache locally around their measured section.
-    cache.set_cache_dir(_CACHE_DIR)
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _REPORTS:
-        return
-    terminalreporter.write_line("")
-    terminalreporter.write_line("=" * 78)
-    terminalreporter.write_line("REPRODUCED TABLES AND FIGURES")
-    terminalreporter.write_line("=" * 78)
-    for name, text in _REPORTS:
-        terminalreporter.write_line("")
-        for line in text.splitlines():
-            terminalreporter.write_line(line)
+    cache.set_cache_dir(
+        os.environ.get("REPRO_CACHE_DIR", os.path.join("results", "cache"))
+    )

@@ -1,11 +1,10 @@
-"""Benchmark: Figure 1 — fluid-model thrashing transition."""
+"""Paper claim: Figure 1 — fluid-model thrashing transition."""
 
 from repro.experiments.figures import figure1
 
 
-def test_figure1_thrashing(benchmark, report):
-    result = benchmark.pedantic(figure1, rounds=1, iterations=1)
-    report.record("figure1", result.text)
+def test_figure1_thrashing():
+    result = figure1()
     points = result.data
 
     utils = [p.utilization for p in points]

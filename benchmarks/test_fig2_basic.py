@@ -1,11 +1,10 @@
-"""Benchmark: Figure 2 — basic-scenario loss-load curves (4 designs + MBAC)."""
+"""Paper claim: Figure 2 — basic-scenario loss-load curves (4 designs + MBAC)."""
 
 from repro.experiments.figures import figure2
 
 
-def test_figure2_basic_scenario(benchmark, report):
-    result = benchmark.pedantic(figure2, rounds=1, iterations=1)
-    report.record("figure2", result.text)
+def test_figure2_basic_scenario():
+    result = figure2()
     curves = {c.label: c for c in result.data}
 
     assert "MBAC" in curves

@@ -1,11 +1,10 @@
-"""Benchmark: Figure 3 — 5 s vs 25 s probing, in-band dropping."""
+"""Paper claim: Figure 3 — 5 s vs 25 s probing, in-band dropping."""
 
 from repro.experiments.figures import figure3
 
 
-def test_figure3_long_probing(benchmark, report):
-    result = benchmark.pedantic(figure3, rounds=1, iterations=1)
-    report.record("figure3", result.text)
+def test_figure3_long_probing():
+    result = figure3()
     curves = {c.label: c for c in result.data}
 
     short = curves["5-second probes"]

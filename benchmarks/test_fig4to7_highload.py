@@ -1,4 +1,4 @@
-"""Benchmarks: Figures 4-7 — high load (~400%), three probing algorithms.
+"""Paper claims: Figures 4-7 — high load (~400%), three probing algorithms.
 
 The paper's claims: under heavy load, slow-start keeps utilization higher
 than simple probing for the dropping designs (it minimizes thrashing);
@@ -18,9 +18,8 @@ def _mean_util(curve):
 @pytest.mark.parametrize("fig_fn", [figure4, figure5, figure6, figure7],
                          ids=["fig4-drop-in", "fig5-drop-out",
                               "fig6-mark-in", "fig7-mark-out"])
-def test_high_load_probing_schemes(benchmark, report, fig_fn):
-    result = benchmark.pedantic(fig_fn, rounds=1, iterations=1)
-    report.record(result.name, result.text)
+def test_high_load_probing_schemes(fig_fn):
+    result = fig_fn()
     curves = {c.label: c for c in result.data}
 
     assert {"MBAC", "simple", "slow-start", "early-reject"} <= set(curves)
@@ -34,9 +33,9 @@ def test_high_load_probing_schemes(benchmark, report, fig_fn):
     assert _mean_util(curves["slow-start"]) >= _mean_util(curves["simple"]) - 0.02
 
 
-def test_slow_start_beats_simple_on_in_band_dropping(benchmark, report):
+def test_slow_start_beats_simple_on_in_band_dropping():
     """Figure 4's specific headline: in-band dropping thrashes with simple
     probing, and slow-start visibly mitigates it."""
-    result = benchmark.pedantic(figure4, rounds=1, iterations=1)
+    result = figure4()
     curves = {c.label: c for c in result.data}
     assert _mean_util(curves["slow-start"]) > _mean_util(curves["simple"])

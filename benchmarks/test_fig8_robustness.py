@@ -1,6 +1,6 @@
-"""Benchmarks: Figure 8(a-f) — robustness across source models.
+"""Paper claims: Figure 8(a-f) — robustness across source models.
 
-One benchmark per panel so timings are attributable; the session's disk
+One test per panel so ``--durations`` attributes the time; the session's disk
 cache shares the MBAC reference and fixed-epsilon points with Figure 9 and
 Table 4.
 """
@@ -11,11 +11,8 @@ from repro.experiments.figures import FIGURE8_PANELS, figure8
 
 
 @pytest.mark.parametrize("panel", FIGURE8_PANELS)
-def test_figure8_panel(benchmark, report, panel):
-    result = benchmark.pedantic(
-        figure8, kwargs={"panels": (panel,)}, rounds=1, iterations=1
-    )
-    report.record(f"figure8-{panel}", result.text)
+def test_figure8_panel(panel):
+    result = figure8(panels=(panel,))
     curves = {c.label: c for c in result.data[panel]}
 
     # Paper: "In each graph the endpoint admission designs produce

@@ -1,15 +1,14 @@
-"""Benchmark: Figure 9 — loss variation across scenarios at a fixed epsilon.
+"""Paper claim: Figure 9 — loss variation across scenarios at a fixed epsilon.
 
-Almost free when run after the Figure 2/4-8 benchmarks: every point is
+Almost free when run after the Figure 2/4-8 tests: every point is
 served from the session's disk cache (``results/cache`` by default).
 """
 
 from repro.experiments.figures import figure9
 
 
-def test_figure9_loss_variation(benchmark, report):
-    result = benchmark.pedantic(figure9, rounds=1, iterations=1)
-    report.record("figure9", result.text)
+def test_figure9_loss_variation():
+    result = figure9()
     data = result.data
 
     assert len(data) == 4  # the four prototype designs

@@ -1,11 +1,10 @@
-"""Benchmark: Table 4 — blocking for large vs small flows."""
+"""Paper claim: Table 4 — blocking for large vs small flows."""
 
 from repro.experiments.figures import table4
 
 
-def test_table4_large_flow_discrimination(benchmark, report):
-    result = benchmark.pedantic(table4, rounds=1, iterations=1)
-    report.record("table4", result.text)
+def test_table4_large_flow_discrimination():
+    result = table4()
     data = result.data
 
     assert "MBAC" in data

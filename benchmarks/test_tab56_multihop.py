@@ -1,11 +1,10 @@
-"""Benchmarks: Tables 5-6 — the multi-hop (Figure 10) topology."""
+"""Paper claims: Tables 5-6 — the multi-hop (Figure 10) topology."""
 
 from repro.experiments.figures import table5, table6
 
 
-def test_table5_multihop_loss(benchmark, report):
-    result = benchmark.pedantic(table5, rounds=1, iterations=1)
-    report.record("table5", result.text)
+def test_table5_multihop_loss():
+    result = table5()
     data = result.data
 
     assert "MBAC" in data
@@ -17,9 +16,8 @@ def test_table5_multihop_loss(benchmark, report):
             assert row["long"] < 8 * row["short"], label
 
 
-def test_table6_multihop_blocking(benchmark, report):
-    result = benchmark.pedantic(table6, rounds=1, iterations=1)
-    report.record("table6", result.text)
+def test_table6_multihop_blocking():
+    result = table6()
     data = result.data
 
     # Long flows are blocked more than the single-hop classes (majority

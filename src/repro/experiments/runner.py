@@ -235,6 +235,20 @@ def _prefill(
             controller.force_admit(request)
 
 
+def link_loss(qdisc: object) -> float:
+    """Whole-link drop fraction of one queue (all kinds: data + probes).
+
+    A coarse per-hop congestion indicator over the full run; per-class data
+    loss comes from the controller's class stats.  A push-out counts once in
+    ``drops``, and its victim was already counted in ``enqueued``, so the
+    arrivals are ``enqueued + drops - pushouts``.
+    """
+    drops: int = getattr(qdisc, "drops", 0)
+    pushouts: int = getattr(qdisc, "pushouts", 0)
+    arrived: int = getattr(qdisc, "enqueued", 0) + drops - pushouts
+    return drops / arrived if arrived else 0.0
+
+
 def run_scenario(
     config: ScenarioConfig,
     design: ControllerSpec = None,
@@ -322,16 +336,7 @@ def run_scenario(
     per_link_util = [
         p.stats.window().utilization(p.rate_bps, now) for p in congested
     ]
-    per_link_loss = []
-    for port in congested:
-        # Whole-link drop fraction (all kinds: data + probes) over the full
-        # run — a coarse per-hop congestion indicator; per-class data loss
-        # comes from the controller's class stats.
-        qdisc = port.qdisc
-        drops = getattr(qdisc, "drops", 0)
-        enqueued = getattr(qdisc, "enqueued", 0)
-        arrived = drops + enqueued
-        per_link_loss.append(drops / arrived if arrived else 0.0)
+    per_link_loss = [link_loss(port.qdisc) for port in congested]
 
     probe_util = 0.0
     if congested:

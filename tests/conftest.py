@@ -17,9 +17,10 @@ def _strict_simulators_by_default():
     """Every ``Simulator()`` built under pytest gets strict mode.
 
     Tests are exactly where the dynamic validations (monotone clock,
-    finite dispatch times, heap compaction) should be armed; production
-    sweeps keep the unchecked hot path.  Tests of the non-strict behavior
-    itself must construct ``Simulator(strict=False)`` explicitly.
+    finite dispatch times) should be armed; production sweeps keep the
+    unchecked hot path.  Heap compaction runs in every engine, strict or
+    not.  Tests of the non-strict behavior itself must construct
+    ``Simulator(strict=False)`` explicitly.
     """
     previous = set_strict_default(True)
     yield

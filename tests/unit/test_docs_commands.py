@@ -1,6 +1,7 @@
 """Every name the docs advertise exists: ``python -m X`` commands, the
-``Class.member`` identifiers of DESIGN.md §11, and the modules of DESIGN.md
-§6's package layout.
+``Class.member`` identifiers of DESIGN.md §11, the modules of DESIGN.md
+§6's package layout, and the repository paths (``path`` or
+``path::name``) that README.md, DESIGN.md and EXPERIMENTS.md cite.
 
 README.md, ROADMAP.md's "Static gates" block and the CI workflow are where
 people copy commands from; nothing else fails when one of them still names
@@ -176,3 +177,51 @@ def test_design_section_6_layout_names_every_module():
     assert {"units.py", "sim/engine.py", "experiments/cli.py"} <= named
     assert sorted(modules - named) == [], "modules DESIGN.md §6 omits"
     assert sorted(named - modules) == [], "DESIGN.md §6 names no such module"
+
+
+# -- README / DESIGN / EXPERIMENTS: backticked repository paths exist ---------
+
+#: Top-level directories of the repository; a backticked span that starts
+#: with one of them is a path the docs promise exists.
+_TREES = ("src/", "tests/", "bench/", "benchmarks/", "examples/", ".github/")
+_PATH = re.compile(r"[\w./-]+(::[\w\[\]-]+)*")
+_FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_INLINE = re.compile(r"(`+)(.+?)\1", re.DOTALL)  # `x` and ``x``
+
+
+def _cited_paths() -> list[tuple[str, str]]:
+    """Sorted (doc, span) for every backticked repository path."""
+    found = set()
+    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        text = _FENCE.sub("", (REPO_ROOT / doc).read_text())
+        for __, span in _INLINE.findall(text):
+            if span.startswith(_TREES) and _PATH.fullmatch(span):
+                found.add((doc, span))
+    return sorted(found)
+
+
+CITED_PATHS = _cited_paths()
+
+
+def test_the_scan_sees_the_paths():
+    for expected in (
+        ("DESIGN.md", "benchmarks/test_ablations.py::test_ablation_fq_stealing"),
+        ("EXPERIMENTS.md", "bench/layers.py"),
+        ("EXPERIMENTS.md", "tests/unit/test_closed_form.py"),
+        ("README.md", "tests/integration/test_stolen_bandwidth.py"),
+    ):
+        assert expected in CITED_PATHS, expected
+
+
+@pytest.mark.parametrize("doc,span", CITED_PATHS)
+def test_cited_path_exists(doc, span):
+    path, *names = span.split("::")
+    assert (REPO_ROOT / path).exists(), f"{doc} cites `{span}`: no such path"
+    scope = ast.parse((REPO_ROOT / path).read_text()).body if names else []
+    for name in names:
+        name = name.split("[")[0]  # a parametrized test id names its def
+        node = next((node for node in scope
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and node.name == name), None)
+        assert node is not None, f"{doc} cites `{span}`: {path} defines no {name}"
+        scope = node.body

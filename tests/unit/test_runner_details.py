@@ -3,7 +3,14 @@
 import pytest
 
 from repro.core.design import CongestionSignal, EndpointDesign, ProbeBand, ProbingScheme
-from repro.experiments.runner import MbacConfig, ScenarioConfig, run_scenario
+from repro.experiments.runner import (
+    MbacConfig,
+    ScenarioConfig,
+    link_loss,
+    run_scenario,
+)
+from repro.net.packet import DATA, PROBE, FlowAccounting, Packet
+from repro.net.queues import DropTailFifo, TwoLevelPriorityQueue
 from repro.units import mbps
 
 FAST = dict(duration=120.0, warmup=40.0, lifetime_mean=30.0,
@@ -30,6 +37,25 @@ def test_per_link_metrics_single_topology(eac_result):
     assert eac_result.per_link_utilization[0] == pytest.approx(
         eac_result.utilization
     )
+
+
+def test_link_loss_counts_a_pushout_once():
+    # Four probes fill a 4-packet queue; each of the next four data packets
+    # pushes one out, and the last two find no probe to push: 10 arrivals,
+    # 6 losses.  The victims were counted as enqueued when they arrived.
+    flow = FlowAccounting(1)
+    qdisc = TwoLevelPriorityQueue(4)
+    for seq in range(4):
+        qdisc.enqueue(Packet(125, PROBE, flow, (), prio=1, seq=seq), 0.0)
+    for seq in range(4, 10):
+        qdisc.enqueue(Packet(125, DATA, flow, (), seq=seq), 0.0)
+    assert (qdisc.enqueued, qdisc.drops, qdisc.pushouts) == (8, 6, 4)
+    assert link_loss(qdisc) == pytest.approx(0.6)
+    # Without push-out every drop is an arrival that never entered.
+    fifo = DropTailFifo(4)
+    for seq in range(10):
+        fifo.enqueue(Packet(125, DATA, flow, (), seq=seq), 0.0)
+    assert link_loss(fifo) == pytest.approx(0.6)
 
 
 def test_probe_utilization_positive_for_eac(eac_result):
