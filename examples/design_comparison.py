@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Compare the paper's four prototype designs on one scenario.
 
-Sweeps the acceptance threshold for each of {drop, mark} x {in-band,
-out-of-band} and prints the loss-load points, i.e. a miniature Figure 2.
+Runs two acceptance thresholds for each of {drop, mark} x {in-band,
+out-of-band} -- epsilon 0 and the band's Figure-9 value -- plus MBAC at
+targets 0.9 and 1.1, and prints the loss-load points, i.e. a miniature
+Figure 2 (at full scale, ``--scale 0.5`` and above, the paper's full
+sweeps).
 The ordering to look for: out-of-band marking reaches the lowest loss
 floor, in-band dropping the highest; everyone's frontier is within a small
 factor of the MBAC reference.
@@ -16,7 +19,7 @@ import argparse
 
 from repro import all_designs
 from repro.experiments import get_scenario, scaled_seeds
-from repro.experiments.lossload import CurveSpec, sweep_loss_load_curves
+from repro.experiments.figures import loss_load_curves
 from repro.experiments.report import format_curves
 
 
@@ -29,17 +32,13 @@ def main() -> None:
     args = parser.parse_args()
 
     scenario = get_scenario(args.scenario)
-    config = scenario.config(args.scale)
-    seeds = scaled_seeds(args.scale)
     print(f"Scenario: {scenario.description} ({scenario.figure}), "
-          f"scale {args.scale:g}, seeds {list(seeds)}\n")
+          f"scale {args.scale:g}, seeds {list(scaled_seeds(args.scale))}\n")
 
     # All five curves go out as one flat fan-out of (point, seed) runs.
-    sweeps = [CurveSpec.for_mbac((0.9, 1.0))] + [
-        CurveSpec.for_design(design, (0.0, design.default_epsilons[-1]))
-        for design in all_designs()
-    ]
-    curves = sweep_loss_load_curves(config, sweeps, seeds)
+    curves = loss_load_curves(
+        scenario.config(args.scale), args.scale, all_designs(), narrow=True
+    )
     print(format_curves(curves, title=f"Loss-load points: {args.scenario}"))
 
     floors = {c.label: min(c.losses) for c in curves}

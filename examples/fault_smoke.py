@@ -68,8 +68,8 @@ def as_json(result):
 
 
 def main() -> int:
-    # Both sweeps must simulate every task, so no cache (not even an
-    # exported REPRO_CACHE_DIR) may serve or keep a run.
+    # Both sweeps must simulate every task, so no cache may serve or
+    # keep a run.
     cache.set_cache_dir(None)
     print("serial reference sweep (jobs=1)...")
     serial = [as_json(r) for r in parallel.run_many(tasks(), jobs=1)]

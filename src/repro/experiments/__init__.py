@@ -6,10 +6,8 @@ from repro.experiments.cache import (
     set_cache_dir,
 )
 from repro.experiments.lossload import (
-    CurveSpec,
     LossLoadCurve,
     LossLoadPoint,
-    sweep_loss_load_curves,
 )
 from repro.experiments.parallel import (
     replicate_many,
@@ -35,7 +33,6 @@ from repro.experiments.scenarios import (
 )
 
 __all__ = [
-    "CurveSpec",
     "LossLoadCurve",
     "LossLoadPoint",
     "MbacConfig",
@@ -57,5 +54,4 @@ __all__ = [
     "set_cache_dir",
     "set_jobs",
     "set_progress",
-    "sweep_loss_load_curves",
 ]

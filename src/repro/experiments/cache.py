@@ -13,10 +13,10 @@ every entry and a stale cache can never contaminate a new result.  Reads
 are corruption-tolerant: an unreadable or truncated file is evicted and the
 run recomputed, never crashed on.
 
-The cache is off unless a directory is configured — via ``set_cache_dir``
-(the CLI's ``--cache-dir``/``--no-cache`` flags call it), or the
-``REPRO_CACHE_DIR`` environment variable.  With it off a finished run is
-kept nowhere: the process holds a result only while its caller does.
+The cache is off unless a directory is configured with ``set_cache_dir``
+(the CLI's ``--cache-dir``/``--no-cache`` flags call it).  With it off a
+finished run is kept nowhere: the process holds a result only while its
+caller does.
 
 See DESIGN.md §9 for the determinism argument and the invalidation rules.
 """
@@ -50,8 +50,6 @@ SCHEMA_VERSION = 4
 
 #: Cache directory; ``None`` disables the cache entirely.
 _disk_dir: Optional[Path] = None
-if os.environ.get("REPRO_CACHE_DIR"):
-    _disk_dir = Path(os.environ["REPRO_CACHE_DIR"])
 
 _code_fingerprint_cached: Optional[str] = None
 

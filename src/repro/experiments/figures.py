@@ -28,12 +28,7 @@ from repro.core.design import (
     ProbingScheme,
     all_designs,
 )
-from repro.experiments.lossload import (
-    MBAC_TARGETS,
-    CurveSpec,
-    LossLoadCurve,
-    sweep_loss_load_curves,
-)
+from repro.experiments.lossload import LossLoadCurve, LossLoadPoint
 from repro.experiments.parallel import replicate_many
 from repro.experiments.runner import ControllerSpec, MbacConfig, ScenarioConfig
 from repro.experiments.scenarios import (
@@ -53,6 +48,11 @@ from repro.tcp.app import TcpConnection
 from repro.traffic.catalog import get_source_spec
 from repro.traffic.flowgen import FlowClass, FlowGenerator
 from repro.units import BITS_PER_BYTE, mbps
+
+#: MBAC target-utilization sweep at full scale, playing the role of the
+#: epsilon sweep for the benchmark.  Values above 1.0 deliberately
+#: over-admit to reach the high-utilization/high-loss end of the curve.
+MBAC_TARGETS = (0.85, 0.90, 0.95, 1.00, 1.10)
 
 #: Fixed thresholds of Figure 9 / Table 4 (paper Section 4.3-4.5).
 FIXED_EPS_IN_BAND = 0.01
@@ -90,7 +90,6 @@ class FigureResult:
     """One regenerated table or figure."""
 
     name: str
-    description: str
     data: object
     text: str
 
@@ -124,7 +123,7 @@ def fixed_epsilon(design: EndpointDesign) -> float:
     return _BAND_EPSILONS[design.band].fixed
 
 
-def _curves(
+def loss_load_curves(
     config: ScenarioConfig,
     scale: Optional[float],
     designs: Sequence[EndpointDesign],
@@ -138,15 +137,32 @@ def _curves(
     Figure-9 fixed value, MBAC targets 0.9 and 1.1.  Curves are labelled
     by ``labels`` or else by design name.
 
-    All curves' points are submitted as one flat sweep so the parallel
-    runner fans out across every (curve, point, seed) of the figure.
+    Every (curve, point, seed) run of the figure goes through one
+    :func:`replicate_many` call, so the parallel runner fans out across
+    all of them; results come back in sweep order.
     """
     narrow = narrow and not _full_scale(scale)
-    sweeps = [CurveSpec.for_mbac((0.90, 1.10) if narrow else bench_mbac_targets(scale))]
+    targets = (0.90, 1.10) if narrow else bench_mbac_targets(scale)
+    sweeps: List[Tuple[str, List[Tuple[float, ControllerSpec]]]] = [
+        ("MBAC", [(target, MbacConfig(target_utilization=target)) for target in targets])
+    ]
     for design, label in zip(designs, labels or [None] * len(designs)):
         epsilons = (0.0, fixed_epsilon(design)) if narrow else bench_epsilons(design, scale)
-        sweeps.append(CurveSpec.for_design(design, epsilons, label=label))
-    return sweep_loss_load_curves(config, sweeps, seeds=scaled_seeds(scale))
+        sweeps.append(
+            (label or design.name, [(eps, design.with_epsilon(eps)) for eps in epsilons])
+        )
+    results = iter(replicate_many(
+        [(config, spec) for _, points in sweeps for _, spec in points],
+        scaled_seeds(scale),
+    ))
+    return [
+        LossLoadCurve(label, [
+            LossLoadPoint(parameter, result.utilization, result.loss_probability,
+                          result.blocking_probability)
+            for (parameter, _), result in zip(points, results)
+        ])
+        for label, points in sweeps
+    ]
 
 
 def _controllers(
@@ -179,7 +195,7 @@ def figure1(config: FluidModelConfig = FluidModelConfig()) -> FigureResult:
         "probe_s", durations, series,
         title="Figure 1: thrashing in the fluid model (out-of-band loss is 0)",
     )
-    return FigureResult("figure1", "Fluid-model thrashing transition", points, text)
+    return FigureResult("figure1", points, text)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +205,9 @@ def figure1(config: FluidModelConfig = FluidModelConfig()) -> FigureResult:
 def figure2(scale: Optional[float] = None) -> FigureResult:
     """Figure 2: the four designs + MBAC on the basic scenario."""
     config = get_scenario("basic").config(scale)
-    curves = _curves(config, scale, all_designs())
+    curves = loss_load_curves(config, scale, all_designs())
     text = format_curves(curves, title="Figure 2: basic scenario (EXP1, tau=3.5s)")
-    return FigureResult("figure2", "Basic-scenario loss-load curves", curves, text)
+    return FigureResult("figure2", curves, text)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +219,13 @@ def figure3(scale: Optional[float] = None) -> FigureResult:
     base = EndpointDesign(
         CongestionSignal.DROP, ProbeBand.IN_BAND, ProbingScheme.SLOW_START
     )
-    curves = _curves(
+    curves = loss_load_curves(
         get_scenario("basic").config(scale), scale,
         [base, replace(base, probe_duration=25.0)],
         labels=["5-second probes", "25-second probes"],
     )
     text = format_curves(curves, title="Figure 3: longer probing (in-band dropping)")
-    return FigureResult("figure3", "Probe-length trade-off", curves, text)
+    return FigureResult("figure3", curves, text)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +244,7 @@ def _high_load_figure(name: str, scale: Optional[float]) -> FigureResult:
     base = _HIGH_LOAD_DESIGNS[name]
     schemes = (ProbingScheme.SIMPLE, ProbingScheme.SLOW_START,
                ProbingScheme.EARLY_REJECT)
-    curves = _curves(
+    curves = loss_load_curves(
         get_scenario("high-load").config(scale), scale,
         [base.with_probing(scheme) for scheme in schemes],
         labels=[scheme.value for scheme in schemes], narrow=True,
@@ -237,10 +253,7 @@ def _high_load_figure(name: str, scale: Optional[float]) -> FigureResult:
         f"{name.capitalize()}: high load (tau=1.0s), "
         f"{base.signal.value}/{base.band.value}"
     )
-    return FigureResult(
-        name, f"High-load probing comparison, {base.signal.value} {base.band.value}",
-        curves, format_curves(curves, title=title),
-    )
+    return FigureResult(name, curves, format_curves(curves, title=title))
 
 
 def figure4(scale: Optional[float] = None) -> FigureResult:
@@ -280,7 +293,7 @@ def figure8(
     blocks = []
     for panel in panels:
         scenario = get_scenario(panel)
-        curves = _curves(scenario.config(scale), scale, all_designs(), narrow=True)
+        curves = loss_load_curves(scenario.config(scale), scale, all_designs(), narrow=True)
         data[panel] = curves
         blocks.append(
             format_curves(
@@ -288,9 +301,7 @@ def figure8(
                 title=f"Figure 8 [{panel}]: {scenario.description} ({scenario.figure})",
             )
         )
-    return FigureResult(
-        "figure8", "Robustness loss-load curves", data, "\n\n".join(blocks)
-    )
+    return FigureResult("figure8", data, "\n\n".join(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +347,7 @@ def figure9(
         rows,
         title="Figure 9: loss probability across scenarios at fixed eps",
     )
-    return FigureResult("figure9", "Loss variation at fixed epsilon", data, text)
+    return FigureResult("figure9", data, text)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +389,7 @@ def table3(scale: Optional[float] = None) -> FigureResult:
         rows,
         title="Table 3: heterogeneous acceptance thresholds",
     )
-    return FigureResult("table3", "Blocking for low/high thresholds", data, text)
+    return FigureResult("table3", data, text)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +417,7 @@ def table4(scale: Optional[float] = None) -> FigureResult:
         rows,
         title="Table 4: blocking for large vs small flows (heterogeneous traffic)",
     )
-    return FigureResult("table4", "Large-flow discrimination", data, text)
+    return FigureResult("table4", data, text)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +471,7 @@ def table5(scale: Optional[float] = None) -> FigureResult:
         rows,
         title="Table 5: multi-hop loss probability (eps=0)",
     )
-    return FigureResult("table5", "Multi-hop loss, long vs short", data, text)
+    return FigureResult("table5", data, text)
 
 
 def table6(scale: Optional[float] = None) -> FigureResult:
@@ -483,8 +494,7 @@ def table6(scale: Optional[float] = None) -> FigureResult:
         rows,
         title="Table 6: multi-hop blocking probabilities (eps=0)",
     )
-    return FigureResult("table6", "Multi-hop blocking vs product approximation",
-                        data, text)
+    return FigureResult("table6", data, text)
 
 
 # ---------------------------------------------------------------------------
@@ -566,5 +576,4 @@ def figure11(
             f"at a legacy router ({n_tcp} TCP flows, AC arrivals from t={ac_start:g}s)"
         ),
     )
-    return FigureResult("figure11", "TCP coexistence at a legacy router",
-                        series, text)
+    return FigureResult("figure11", series, text)

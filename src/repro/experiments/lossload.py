@@ -10,23 +10,10 @@ reach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
-from repro.core.design import EndpointDesign
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import replicate_many
-from repro.experiments.runner import (
-    ControllerSpec,
-    MbacConfig,
-    ReplicatedResult,
-    ScenarioConfig,
-)
-
-#: Default MBAC target-utilization sweep, playing the role of the epsilon
-#: sweep for the benchmark.  Values above 1.0 deliberately over-admit to
-#: reach the high-utilization/high-loss end of the curve.
-MBAC_TARGETS = (0.85, 0.90, 0.95, 1.00, 1.10)
 
 
 @dataclass
@@ -37,7 +24,6 @@ class LossLoadPoint:
     utilization: float
     loss_probability: float
     blocking_probability: float
-    result: ReplicatedResult = field(repr=False, default=None)
 
 
 @dataclass
@@ -85,81 +71,3 @@ class LossLoadCurve:
                 return lo.loss_probability + t * (hi.loss_probability - lo.loss_probability)
         return pts[-1].loss_probability  # pragma: no cover - unreachable
 
-
-@dataclass(frozen=True)
-class CurveSpec:
-    """One curve of a sweep before it is run: a label plus its points.
-
-    ``points`` pairs each sweep-parameter value with the controller spec
-    that realizes it (an :class:`EndpointDesign` at that epsilon, or an
-    :class:`MbacConfig` at that target utilization).
-    """
-
-    label: str
-    points: Tuple[Tuple[float, ControllerSpec], ...]
-
-    @staticmethod
-    def for_design(
-        design: EndpointDesign,
-        epsilons: Sequence[float],
-        label: Optional[str] = None,
-    ) -> "CurveSpec":
-        """An epsilon sweep of one endpoint design."""
-        return CurveSpec(
-            label=label or design.name,
-            points=tuple((eps, design.with_epsilon(eps)) for eps in epsilons),
-        )
-
-    @staticmethod
-    def for_mbac(
-        targets: Sequence[float] = MBAC_TARGETS,
-        label: str = "MBAC",
-    ) -> "CurveSpec":
-        """A target-utilization sweep of the Measured Sum benchmark."""
-        return CurveSpec(
-            label=label,
-            points=tuple(
-                (target, MbacConfig(target_utilization=target)) for target in targets
-            ),
-        )
-
-
-def sweep_loss_load_curves(
-    config: ScenarioConfig,
-    sweeps: Sequence[CurveSpec],
-    seeds: Sequence[int] = (1,),
-    jobs: Optional[int] = None,
-) -> List[LossLoadCurve]:
-    """Run several curves' sweeps on one scenario as a single flat fan-out.
-
-    Every (point, seed) run across *all* the curves goes through one
-    :func:`repro.experiments.parallel.replicate_many` call, so a figure
-    with five curves of three points each parallelizes over 15 × seeds
-    independent simulations rather than point by point.  Results come
-    back in sweep order, so the curves are identical to running each
-    point serially.
-    """
-    pairs = [
-        (config, spec)
-        for sweep in sweeps
-        for _, spec in sweep.points
-    ]
-    replicated = replicate_many(pairs, seeds, jobs=jobs)
-    curves: List[LossLoadCurve] = []
-    cursor = 0
-    for sweep in sweeps:
-        points = []
-        for parameter, _ in sweep.points:
-            result = replicated[cursor]
-            cursor += 1
-            points.append(
-                LossLoadPoint(
-                    parameter=parameter,
-                    utilization=result.utilization,
-                    loss_probability=result.loss_probability,
-                    blocking_probability=result.blocking_probability,
-                    result=result,
-                )
-            )
-        curves.append(LossLoadCurve(label=sweep.label, points=points))
-    return curves

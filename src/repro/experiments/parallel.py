@@ -516,7 +516,6 @@ def run_many(
 def replicate_many(
     pairs: Sequence[Tuple[ScenarioConfig, ControllerSpec]],
     seeds: Sequence[int] = (1,),
-    jobs: Optional[int] = None,
 ) -> List[ReplicatedResult]:
     """Multi-seed replications of many (config, spec) pairs, fanned out flat.
 
@@ -532,7 +531,7 @@ def replicate_many(
         for config, spec in pairs
         for seed in seeds
     ]
-    results = iter_run_results(tasks, jobs=jobs)
+    results = iter_run_results(tasks)
     out: List[ReplicatedResult] = []
     per_pair = len(seeds)
     for _ in pairs:

@@ -66,9 +66,8 @@ class FaultSchedule:
         self.horizon = horizon
         self.port_names = tuple(port_names)
         self.applied = 0
-        #: Optional event-trace sink (repro.obs).  Named ``trace_sink``
-        #: because :meth:`trace` is the pre-generated event accessor.
-        self.trace_sink: Optional[TraceSink] = None
+        #: Optional event-trace sink (repro.obs).
+        self.trace: Optional[TraceSink] = None
         # Derive every stream this schedule will ever use up front and
         # drop the family reference: the object's RNG footprint is fixed
         # at construction, so no later call (install, re-install) can
@@ -81,6 +80,7 @@ class FaultSchedule:
             if config.loss_every > 0
             else {}
         )
+        #: The full pre-generated event sequence, time-ordered.
         self.events = self._generate(rng)
         #: Live port and Gilbert–Elliott chain by port name, set by install.
         self._ports: Dict[str, OutputPort] = {}
@@ -143,16 +143,12 @@ class FaultSchedule:
         else:  # "loss-off"
             self._models[event.port].deactivate()
         self.applied += 1
-        tr = self.trace_sink
+        tr = self.trace
         if tr is not None:
             tr.emit("fault", event.time, event="apply",
                     port=event.port, action=action)
 
     # -- trace access -----------------------------------------------------
-
-    def trace(self) -> Tuple[FaultEvent, ...]:
-        """The full pre-generated event sequence, time-ordered."""
-        return self.events
 
     def trace_json(self) -> str:
         """Canonical JSON of the trace, for byte-identity assertions."""
@@ -180,6 +176,6 @@ def install_faults(
     schedule = FaultSchedule(
         config, streams, horizon, [port.name for port in selected]
     )
-    schedule.trace_sink = trace
+    schedule.trace = trace
     schedule.install(sim, selected)
     return schedule

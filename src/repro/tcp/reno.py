@@ -27,8 +27,7 @@ from repro.errors import ConfigurationError
 from repro.net.packet import (
     ACK, BEST_EFFORT, FlowAccounting, Packet, Receiver, packet_path,
 )
-from repro.sim.engine import Simulator
-from repro.sim.timers import Timer
+from repro.sim.engine import EventHandle, Simulator
 
 if TYPE_CHECKING:
     from repro.net.link import OutputPort
@@ -135,7 +134,8 @@ class TcpRenoSender:
         self._send_times: Dict[int, float] = {}
         self._retransmitted: Set[int] = set()
 
-        self._timer = Timer(sim, self._on_timeout)
+        #: The pending retransmission deadline; None or dead when idle.
+        self._rto_event: Optional[EventHandle] = None
         self.running = False
 
         # Statistics.
@@ -152,7 +152,7 @@ class TcpRenoSender:
     def stop(self) -> None:
         """Halt transmission and cancel the retransmission timer."""
         self.running = False
-        self._timer.stop()
+        self._reset_rto(arm=False)
 
     # -- sending -----------------------------------------------------------------
 
@@ -181,8 +181,8 @@ class TcpRenoSender:
             seq=seq, created=self.sim.now, payload=seq,
         )
         self.route[0].send(pkt)
-        if not self._timer.running:
-            self._timer.start(self.rto)
+        if self._rto_event is None or not self._rto_event.alive:
+            self._reset_rto()
 
     # -- ACK processing ------------------------------------------------------------
 
@@ -227,10 +227,7 @@ class TcpRenoSender:
             else:
                 self.cwnd += newly_acked / self.cwnd  # congestion avoidance
 
-        if self.flight_size > 0:
-            self._timer.restart(self.rto)
-        else:
-            self._timer.stop()
+        self._reset_rto(arm=self.flight_size > 0)
 
     def _duplicate_ack(self) -> None:
         if self.in_recovery:
@@ -257,7 +254,14 @@ class TcpRenoSender:
         self.in_recovery = False
         self.rto = min(self.rto * 2.0, MAX_RTO)
         self._transmit(self.snd_una, retransmission=True)
-        self._timer.start(self.rto)
+        self._reset_rto()
+
+    def _reset_rto(self, arm: bool = True) -> None:
+        """Cancel the pending retransmission deadline and, with ``arm``,
+        set a new one ``rto`` seconds from now."""
+        if self._rto_event is not None:
+            self._rto_event.cancel()
+        self._rto_event = self.sim.schedule(self.rto, self._on_timeout) if arm else None
 
     def _update_rtt(self, sample: float) -> None:
         if self.srtt is None:

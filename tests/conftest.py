@@ -36,15 +36,11 @@ def _isolate_sweep_state(tmp_path, monkeypatch):
     otherwise leak that state (and disk-cache or artifact writes) into
     later tests.  The CLI default cache dir is redirected into the test's
     tmp_path, and the cache dir and all six of ``parallel``'s setters are
-    reset afterwards.  The cache dir is also switched off *before* each
-    test: ``cache`` reads ``REPRO_CACHE_DIR`` at import, so a developer
-    with the variable exported would otherwise have the first sweeping
-    test read and write their real cache.
+    reset afterwards.
     """
     from repro.experiments import cache, cli, parallel
 
     monkeypatch.setattr(cli, "DEFAULT_CACHE_DIR", str(tmp_path / "cache"))
-    cache.set_cache_dir(None)
     yield
     cache.set_cache_dir(None)
     parallel.set_jobs(None)

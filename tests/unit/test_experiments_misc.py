@@ -7,12 +7,8 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments import cache as run_cache
 from repro.experiments import parallel
 from repro.experiments.cli import EXPERIMENTS, build_parser, main, parse_design
-from repro.experiments.lossload import (
-    CurveSpec,
-    LossLoadCurve,
-    LossLoadPoint,
-    sweep_loss_load_curves,
-)
+from repro.experiments.figures import fixed_epsilon, loss_load_curves
+from repro.experiments.lossload import LossLoadCurve, LossLoadPoint
 from repro.experiments.report import format_curves, format_series, format_table
 from repro.experiments.runner import ScenarioConfig
 from repro.experiments.scenarios import (
@@ -94,17 +90,17 @@ class TestScenarios:
 class TestLossLoad:
     def test_eac_curve_has_point_per_epsilon(self):
         config = ScenarioConfig(source="EXP1", interarrival=2.0, **FAST)
-        sweep = CurveSpec.for_design(DESIGN, (0.0, 0.05))
-        (curve,) = sweep_loss_load_curves(config, [sweep], seeds=(1,))
-        assert [p.parameter for p in curve.points] == [0.0, 0.05]
+        mbac, curve = loss_load_curves(config, 0.004, [DESIGN], narrow=True)
+        assert [p.parameter for p in curve.points] == [0.0, fixed_epsilon(DESIGN)]
         assert curve.label == DESIGN.name
+        assert mbac.label == "MBAC"
 
     def test_mbac_curve(self):
         config = ScenarioConfig(source="EXP1", interarrival=2.0, **FAST)
-        sweep = CurveSpec.for_mbac((0.9,))
-        (curve,) = sweep_loss_load_curves(config, [sweep], seeds=(1,))
-        assert len(curve.points) == 1
+        (curve,) = loss_load_curves(config, 0.004, [], narrow=True)
+        assert [p.parameter for p in curve.points] == [0.9, 1.1]
         assert curve.label == "MBAC"
+        assert curve.utilizations == [p.utilization for p in curve.points]
 
     def test_interpolation(self):
         curve = LossLoadCurve("x", [

@@ -116,7 +116,7 @@ class TestFaultSchedule:
         )
 
     def test_trace_is_time_ordered_and_paired(self):
-        trace = self._schedule().trace()
+        trace = self._schedule().events
         assert trace, "enabled families must generate episodes"
         assert list(trace) == sorted(trace, key=lambda e: e.time)
         opens = sum(1 for e in trace if e.action in ("down", "loss-on"))
@@ -124,7 +124,7 @@ class TestFaultSchedule:
         assert opens == closes
 
     def test_no_episode_starts_past_horizon(self):
-        for event in self._schedule().trace():
+        for event in self._schedule().events:
             if event.action in ("down", "degrade", "loss-on"):
                 assert event.time < 500.0
             assert event.time >= 100.0
@@ -143,7 +143,7 @@ class TestFaultSchedule:
         assert streams.get("sources").random(8).tolist() == plain
 
     def test_trace_round_trips_as_json(self):
-        trace = self._schedule().trace()
+        trace = self._schedule().events
         parsed = json.loads(self._schedule().trace_json())
         assert parsed == [[e.time, e.port, e.action] for e in trace]
 
@@ -244,7 +244,7 @@ class TestInstallFaults:
         config = FaultConfig(flap_every=40.0, flap_downtime=2.0)
         schedule = install_faults(sim, RandomStreams(1), config, [port], 400.0)
         sim.run(until=400.0)
-        fired = sum(1 for e in schedule.trace() if e.time <= 400.0)
+        fired = sum(1 for e in schedule.events if e.time <= 400.0)
         assert schedule.applied == fired
         assert schedule.applied > 0
 

@@ -247,9 +247,10 @@ class TestSweepExport:
         marking = EndpointDesign(CongestionSignal.MARK, ProbeBand.IN_BAND,
                                  ProbingScheme.SLOW_START)
         pairs = [(fast_config(0), DESIGN), (fast_config(0), marking)]
+        parallel.set_jobs(jobs)
         parallel.set_obs_dir(str(tmp_path))
         try:
-            replicated = parallel.replicate_many(pairs, seeds=(1, 2), jobs=jobs)
+            replicated = parallel.replicate_many(pairs, seeds=(1, 2))
         finally:
             parallel.set_obs_dir(None)
         assert [r.seeds for r in replicated] == [[1, 2], [1, 2]]

@@ -26,7 +26,7 @@ from repro.core.design import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments import cache, parallel
-from repro.experiments.lossload import CurveSpec, sweep_loss_load_curves
+from repro.experiments.figures import loss_load_curves
 from repro.experiments.report import format_curves
 from repro.experiments.runner import MbacConfig, ScenarioConfig
 from repro.experiments.scenarios import get_scenario
@@ -120,9 +120,8 @@ class TestDiskCache:
         assert cache.disk_cache_size() == 0
 
     def test_suite_never_touches_the_callers_cache(self, tmp_path):
-        """An exported ``REPRO_CACHE_DIR`` is read when ``cache`` is
-        imported; the suite's autouse fixture must switch it off before
-        the first test sweeps, not only after it."""
+        """The library never reads ``REPRO_CACHE_DIR``: a suite run with
+        it exported leaves the caller's cache directory empty."""
         user_cache = tmp_path / "user-cache"
         user_cache.mkdir()
         root = Path(__file__).resolve().parents[2]
@@ -273,20 +272,23 @@ class TestResolveJobs:
 class TestParallelDeterminism:
     def test_jobs4_byte_identical_to_serial(self, tmp_path):
         """A figure sweep rendered from a 4-worker run is byte-for-byte
-        the text rendered from a serial run (and fills the same cache)."""
+        the text rendered from a serial run (and fills the same cache).
+        Scale 0.3 keeps two seeds per point and two points per curve."""
         config = fast_config()
-        sweeps = [CurveSpec.for_design(DESIGN, epsilons=(0.0, 0.05))]
 
+        parallel.set_jobs(1)
         cache.set_cache_dir(tmp_path / "serial")
-        serial = sweep_loss_load_curves(config, sweeps, seeds=(1, 2), jobs=1)
+        serial = loss_load_curves(config, 0.3, [DESIGN], narrow=True)
         serial_keys = sorted(p.name for p in (tmp_path / "serial").glob("*.json"))
 
+        parallel.set_jobs(4)
         cache.set_cache_dir(tmp_path / "pool")
-        pooled = sweep_loss_load_curves(config, sweeps, seeds=(1, 2), jobs=4)
+        pooled = loss_load_curves(config, 0.3, [DESIGN], narrow=True)
         pooled_keys = sorted(p.name for p in (tmp_path / "pool").glob("*.json"))
 
         assert format_curves(pooled) == format_curves(serial)
         assert pooled_keys == serial_keys
+        assert len(serial_keys) == 8  # (MBAC + DESIGN) x 2 points x 2 seeds
 
     def test_progress_events_are_task_ordered(self, tmp_path):
         cache.set_cache_dir(tmp_path)

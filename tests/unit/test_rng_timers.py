@@ -1,8 +1,6 @@
-"""Unit tests for random streams and timers."""
+"""Unit tests for random streams."""
 
-from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.timers import Timer
 
 
 class TestRandomStreams:
@@ -41,56 +39,3 @@ class TestRandomStreams:
     def test_seed_property(self):
         assert RandomStreams(17).seed == 17
 
-
-class TestTimer:
-    def test_fires_after_delay(self, sim):
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(2.0)
-        sim.run()
-        assert fired == [2.0]
-
-    def test_restart_supersedes_deadline(self, sim):
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(2.0)
-        timer.restart(5.0)
-        sim.run()
-        assert fired == [5.0]
-
-    def test_stop_prevents_firing(self, sim):
-        fired = []
-        timer = Timer(sim, fired.append, "x")
-        timer.start(1.0)
-        timer.stop()
-        sim.run()
-        assert fired == []
-
-    def test_stop_idle_timer_is_harmless(self, sim):
-        Timer(sim, lambda: None).stop()
-
-    def test_running_and_deadline(self, sim):
-        timer = Timer(sim, lambda: None)
-        assert not timer.running
-        assert timer.deadline is None
-        timer.start(3.0)
-        assert timer.running
-        assert timer.deadline == 3.0
-        sim.run()
-        assert not timer.running
-
-    def test_timer_args(self, sim):
-        got = []
-        timer = Timer(sim, lambda a, b: got.append((a, b)), 1, 2)
-        timer.start(1.0)
-        sim.run()
-        assert got == [(1, 2)]
-
-    def test_restart_after_firing(self, sim):
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(1.0)
-        sim.run()
-        timer.start(1.0)
-        sim.run()
-        assert fired == [1.0, 2.0]
