@@ -20,11 +20,13 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 
 #: Method names that put an event on the calendar; a module calling any of
 #: these is considered a scheduling module (see ``ModuleContext``).
-SCHEDULING_METHODS = frozenset({"schedule", "schedule_at", "call", "call_chained"})
+SCHEDULING_METHODS = frozenset({"schedule", "schedule_at", "call", "call_chained",
+                                "every"})
 
 #: ``Simulator.lane(delay)``: where a constant-delay lane's delay is given
 #: (and validated, once).  The ``Lane`` it returns schedules through
-#: ``lane.call(fn, arg)`` — callback first, exactly one argument, no delay.
+#: ``lane.call(fn, arg)`` and starts trains through ``lane.every(fn, arg)``
+#: — callback first, exactly one argument, no delay.
 LANE_FACTORY = "lane"
 
 #: Wall-clock reading functions of the ``time`` module (DET002).
@@ -51,15 +53,18 @@ def callback_candidates(call: ast.Call) -> List[ast.expr]:
     """Positional arguments of a scheduling call that may be its callback.
 
     The simulator's methods take ``(delay, fn, *args)`` (``call_chained``
-    exactly ``(delay, fn, arg)``) and ``Lane.call`` takes ``(fn, arg)``.
-    Both are spelled ``.call(`` and the receiver's
-    type is not known syntactically, so for ``call`` either of the first
-    two arguments may be the callback; SIM001 keeps whichever is a
-    lambda (a delay expression is not).
+    exactly ``(delay, fn, arg)``) and ``Lane.call`` / ``Lane.every`` take
+    ``(fn, arg)``.  ``Simulator.call`` and ``Lane.call`` are both spelled
+    ``.call(`` and the receiver's type is not known syntactically, so for
+    ``call`` either of the first two arguments may be the callback; SIM001
+    keeps whichever is a lambda (a delay expression is not).
     """
     func = call.func
-    if isinstance(func, ast.Attribute) and func.attr == "call":
-        return call.args[:2]
+    if isinstance(func, ast.Attribute):
+        if func.attr == "call":
+            return call.args[:2]
+        if func.attr == "every":
+            return call.args[:1]
     return call.args[1:2]
 
 

@@ -366,7 +366,8 @@ class ScheduleArgumentChecker(Checker):
             func.attr in SCHEDULING_METHODS or func.attr == LANE_FACTORY
         ):
             # A lane's delay is given at ``sim.lane(delay)``; where the first
-            # argument is a callback (``lane.call(fn, ...)``) this is a no-op.
+            # argument is a callback (``lane.call(fn, arg)``,
+            # ``lane.every(fn, arg)``) this is a no-op.
             reason = self._is_bad_delay(node.args[0])
             if reason is not None:
                 self.report(node, reason)

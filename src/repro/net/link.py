@@ -129,7 +129,7 @@ class OutputPort:
         self.sim = sim
         self.rate_bps = rate_bps
         self.qdisc = qdisc
-        # A virtual queue is told when the transmitter idles (see _start_next).
+        # A virtual queue is told when the transmitter idles (see _tx_done).
         self._idle_hook: Optional[Callable[[float], None]] = getattr(
             qdisc, "note_idle", None
         )
@@ -198,21 +198,15 @@ class OutputPort:
                         port=self.name, kind=kind, flow=pkt.flow.flow_id)
 
     def _start_next(self) -> None:
-        # Every serialization takes the engine's chain slot: a port's next
-        # completion is usually the next event due, so it skips the heap.
-        # The idle hook fires on every busy -> idle transition and only
-        # then: a call on a port that is already idle (``set_enabled(True)``
-        # after an outage) does not restart the idle clock.
+        # Starts a busy period (``send`` to an idle port, ``set_enabled(True)``);
+        # _tx_done continues it.  Every serialization takes the engine's
+        # chain slot: a port's next completion is usually the next event
+        # due, so it skips the heap.  An empty queue leaves the port idle
+        # and the idle clock alone (``set_enabled(True)`` after an outage).
         pkt = self.qdisc.dequeue()
-        if pkt is None:
-            if self.busy:
-                self.busy = False
-                idle_hook = self._idle_hook
-                if idle_hook is not None:
-                    idle_hook(self.sim.now)
-            return
-        self.busy = True
-        self.sim.call_chained(pkt.size * self._tx_per_byte, self._tx_done, pkt)
+        if pkt is not None:
+            self.busy = True
+            self.sim.call_chained(pkt.size * self._tx_per_byte, self._tx_done, pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
         if not self.enabled:
@@ -226,40 +220,47 @@ class OutputPort:
                         port=self.name, kind=pkt.kind, flow=pkt.flow.flow_id)
             pkt.flow.note_lost()
             pkt.release()
-            self._start_next()
+        else:
+            stats = self.stats
+            kind = pkt.kind
+            if kind == DATA:
+                stats.data_bytes += pkt.size
+                stats.data_packets += 1
+            elif kind == PROBE:
+                stats.probe_bytes += pkt.size
+                stats.probe_packets += 1
+            elif kind == BEST_EFFORT:
+                stats.be_bytes += pkt.size
+            else:
+                stats.other_bytes += pkt.size
+            tr = self.tx_trace
+            if tr is not None:
+                # Per-packet completions are the one genuinely high-rate
+                # category; sample it (ObsConfig.sample_every) in real runs.
+                tr.emit("tx", self.sim.now, port=self.name, kind=kind,
+                        size=pkt.size, flow=pkt.flow.flow_id, seq=pkt.seq)
+            # Hand-off: the next step of the packet's path (the next port's
+            # ``send`` or the sink's ``receive``) is what fires at the far
+            # end of the wire (nothing reads ``pkt.hop`` in between).
+            hop = pkt.hop + 1
+            pkt.hop = hop
+            target = pkt.path[hop]
+            wire = self._wire
+            if wire is not None:
+                wire.call(target, pkt)
+            else:
+                target(pkt)
+        # The busy period goes on here.  Order matters for determinism: the
+        # delivery above must see the queue state *before* the next dequeue.
+        # The idle hook fires on every busy -> idle transition, and only then.
+        pkt = self.qdisc.dequeue()
+        if pkt is not None:
+            self.sim.call_chained(pkt.size * self._tx_per_byte, self._tx_done, pkt)
             return
-        stats = self.stats
-        kind = pkt.kind
-        if kind == DATA:
-            stats.data_bytes += pkt.size
-            stats.data_packets += 1
-        elif kind == PROBE:
-            stats.probe_bytes += pkt.size
-            stats.probe_packets += 1
-        elif kind == BEST_EFFORT:
-            stats.be_bytes += pkt.size
-        else:
-            stats.other_bytes += pkt.size
-        tr = self.tx_trace
-        if tr is not None:
-            # Per-packet completions are the one genuinely high-rate
-            # category; sample it (ObsConfig.sample_every) in real runs.
-            tr.emit("tx", self.sim.now, port=self.name, kind=kind,
-                    size=pkt.size, flow=pkt.flow.flow_id, seq=pkt.seq)
-        # Hand-off: the next step of the packet's path (the next port's
-        # ``send`` or the sink's ``receive``) is what fires at the far end
-        # of the wire (nothing reads ``pkt.hop`` in between).
-        hop = pkt.hop + 1
-        pkt.hop = hop
-        target = pkt.path[hop]
-        wire = self._wire
-        if wire is not None:
-            wire.call(target, pkt)
-        else:
-            target(pkt)
-        # Order matters for determinism: the delivery above must see the
-        # queue state *before* the next dequeue.
-        self._start_next()
+        self.busy = False
+        idle_hook = self._idle_hook
+        if idle_hook is not None:
+            idle_hook(self.sim.now)
 
     # -- fault injection ---------------------------------------------------
 

@@ -23,7 +23,11 @@ dispatch order (DESIGN.md §11 gives the invariants):
   is monotone in the non-decreasing clock and ``seq`` increases, so a lane
   is sorted by construction and :meth:`Lane.call` is an append; the front
   of every non-empty lane sits in one small heap of fronts that the
-  dispatch loop merges with the main heap on the same (time, seq) key;
+  dispatch loop merges with the main heap on the same (time, seq) key.
+  A fixed-interval *train* (:meth:`Lane.every`: a source's packet ticks)
+  is one lane record that the loop re-arms in place, with the ``seq`` a
+  :meth:`Lane.call` at the end of its callback would take, for as long
+  as the callback returns ``True``;
 * **chain slot** — :meth:`call_chained` parks the *expected next* event of
   a self-clocked component (an output port serializing a queue backlog) in
   four scalar slots (time, seq, callback, arg) rather than a record: a
@@ -103,10 +107,11 @@ class ProfileSink(Protocol):
         ...
 
 # Index constants for the event record; kept module-private.  Lane records
-# carry a sixth field, the deque they wait in, so the loop can advance the
-# right lane.  ``Simulator._loop`` spells these indices as literals (a
+# carry two more fields: the deque they wait in, so the loop can advance the
+# right lane, and the lane's delay if the record is a train (``None`` for a
+# one-shot event).  ``Simulator._loop`` spells these indices as literals (a
 # literal subscript skips a global lookup per use); this is the layout.
-_TIME, _SEQ, _FN, _ARG, _ALIVE, _QUEUE = 0, 1, 2, 3, 4, 5
+_TIME, _SEQ, _FN, _ARG, _ALIVE, _QUEUE, _TRAIN = 0, 1, 2, 3, 4, 5, 6
 
 #: Stand-in for "no record" in the dispatch loop's selection: later than
 #: any event can be (event times are finite), so whatever faces it wins.
@@ -222,9 +227,10 @@ class Lane:
 
     Obtained from :meth:`Simulator.lane`; components resolve theirs once
     (a port from its propagation delay, a source from its packet interval)
-    and call :meth:`call` per packet.  Use a lane only for events with a
-    *fixed* delay that are never cancelled — like :meth:`Simulator.call`
-    there is no handle; guard in the callback instead.
+    and call :meth:`call` per packet, or :meth:`every` once per train.  Use
+    a lane only for events with a *fixed* delay that are never cancelled —
+    like :meth:`Simulator.call` there is no handle; guard in the callback
+    instead.
     """
 
     __slots__ = ("delay", "_sim", "_queue")
@@ -248,10 +254,26 @@ class Lane:
         sim = self._sim
         sim._seq = seq = sim._seq + 1
         queue = self._queue
-        record = [sim.now + self.delay, seq, fn, arg, True, queue]
+        record = [sim.now + self.delay, seq, fn, arg, True, queue, None]
         if not queue:
             heapq.heappush(sim._fronts, record)
         queue.append(record)
+
+    def every(self, fn: Callable[[Any], bool], arg: Any) -> None:
+        """Start a train: ``fn(arg)`` every :attr:`delay` seconds from now.
+
+        The first event is exactly the one :meth:`call` would schedule.
+        Each time it fires and ``fn`` returns exactly ``True``, the
+        dispatch loop re-arms the same record one :attr:`delay` later,
+        taking the next ``seq`` — the one a :meth:`call` as the last
+        statement of ``fn`` would have taken — so a train is
+        indistinguishable from a callback that reschedules itself, minus
+        the record and the call per tick.  Any other return value ends
+        the train.  Like :meth:`call` there is no handle: a train stops
+        when its callback says so (a source's epoch guard).
+        """
+        self.call(fn, arg)
+        self._queue[-1][_TRAIN] = self.delay
 
 
 class Simulator:
@@ -435,7 +457,14 @@ class Simulator:
         branch advances the clock and fires the callback inline, because at
         millions of events per sweep a Python-level call per event is the
         dominant constant.  For the same reason record fields are read by
-        literal index (layout at ``_TIME`` ... ``_QUEUE``).
+        literal index (layout at ``_TIME`` ... ``_TRAIN``).
+
+        A lane record that is a train (:meth:`Lane.every`) and whose
+        callback returned exactly ``True`` is re-armed here, after the
+        callback: the next ``seq``, one lane delay later (``when`` is the
+        clock, so ``when + delay`` is the ``now + delay`` of
+        :meth:`Lane.call`), appended to its lane.  Heap records, plain lane
+        records and the chain slot ignore what their callback returns.
         """
         self._stopped = False
         careful = single or self.strict or self._profile is not None
@@ -506,17 +535,27 @@ class Simulator:
                 self._compact()
             record[4] = False
             if careful:
-                self._fire_carefully(when, record[2], record[3])
-                if single:
-                    break
-                continue
-            self.now = when
-            self._events_processed += 1
-            record[2](record[3])
+                result = self._fire_carefully(when, record[2], record[3])
+            else:
+                self.now = when
+                self._events_processed += 1
+                result = record[2](record[3])
+            if result is True and in_lane and record[6] is not None:
+                # A train goes on: re-arm the same record (see Lane.every).
+                self._seq = seq = self._seq + 1
+                record[0] = when + record[6]
+                record[1] = seq
+                record[4] = True
+                queue = record[5]
+                if not queue:
+                    heapq.heappush(fronts, record)
+                queue.append(record)
+            if single:
+                break
 
     def _fire_carefully(
         self, when: float, fn: Callable[[Any], Any], arg: Any
-    ) -> None:
+    ) -> Any:
         """Fire one event off the production path (see :meth:`_loop`).
 
         Strict mode first checks what a linter cannot prove — the time is
@@ -525,7 +564,9 @@ class Simulator:
         two reads of its injected clock.  The profile key is the
         ``__qualname__`` of the callback as it was scheduled: a trampoline
         is keyed by the callback it wraps, and an unbound zero-argument
-        method's function has its bound method's qualname.
+        method's function has its bound method's qualname.  Returns what
+        the callback returned: the loop re-arms a train after a careful
+        dispatch exactly as after a production one.
         """
         if self.strict:
             if not math.isfinite(when):
@@ -542,14 +583,14 @@ class Simulator:
         self._events_processed += 1
         profile = self._profile
         if profile is None:
-            fn(arg)
-            return
+            return fn(arg)
         target = arg if fn is _call0 else arg[0] if fn is _call_n else fn
         key = getattr(target, "__qualname__", None) or repr(target)
         clock = profile.clock
         start = clock()
-        fn(arg)
+        result = fn(arg)
         profile.record(key, clock() - start)
+        return result
 
     def _compact(self) -> None:
         """Rebuild the heap without its cancelled records.

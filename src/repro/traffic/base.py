@@ -38,6 +38,9 @@ class Source:
     bump the epoch, so a pending event of an earlier epoch fires once,
     sees a different epoch and dies.  The per-packet path needs no
     :class:`~repro.sim.engine.EventHandle` and no cancellation.
+    :meth:`_emit` does the epoch guard itself and says whether it sent, so
+    a fixed-interval source hands it straight to
+    :meth:`~repro.sim.engine.Lane.every` as its train.
     """
 
     def __init__(
@@ -86,8 +89,14 @@ class Source:
 
     # -- emission -------------------------------------------------------------
 
-    def _emit(self) -> None:
-        """Send one packet of ``packet_bytes`` bytes down the path."""
+    def _emit(self, epoch: int) -> bool:
+        """Send one packet of ``packet_bytes`` bytes down the path.
+
+        Returns ``False``, sending nothing, if ``epoch`` is stale, and
+        ``True`` after sending: a train of these ends with its epoch.
+        """
+        if epoch != self._epoch:
+            return False
         flow = self.flow
         flow.sent += 1
         flow.bytes_sent += self.packet_bytes
@@ -104,3 +113,4 @@ class Source:
             pkt = Packet(self.packet_bytes, self.kind, flow, self._path,
                          self.prio, seq, self.sim.now, None, free)
         self._path[0](pkt)
+        return True

@@ -52,6 +52,10 @@ class BurstProbeSource(Source):
         self.rate_bps = rate_bps
         self.bucket_bytes = bucket_bytes
         self._burst_packets = max(1, math.floor(bucket_bytes / packet_bytes))
+        # Bursts are a fixed-interval train, like a CBR source's ticks:
+        # set_rate re-resolves the gap's lane, the running train's lane is
+        # remembered so a burst can tell.
+        self._gap_lane = self._train_lane = sim.lane(self.gap)
 
     @property
     def burst_packets(self) -> int:
@@ -68,15 +72,31 @@ class BurstProbeSource(Source):
         if rate_bps <= 0:
             raise ConfigurationError(f"rate must be positive, got {rate_bps!r}")
         self.rate_bps = rate_bps
+        self._gap_lane = self.sim.lane(self.gap)
 
-    def _burst(self, epoch: int) -> None:
-        if epoch != self._epoch:
-            return
+    def _send_burst(self) -> None:
         for __ in range(self._burst_packets):
-            self._emit()
-        self.sim.call(self.gap, self._burst, epoch)
+            self._emit(self._epoch)
 
-    _on_start = _burst
+    def _on_start(self, epoch: int) -> None:
+        self._send_burst()
+        self._start_train(epoch)
+
+    def _start_train(self, epoch: int) -> None:
+        self._train_lane = lane = self._gap_lane
+        lane.every(self._burst, epoch)
+
+    def _burst(self, epoch: int) -> bool:
+        # Goes on while the gap's lane is unchanged; after set_rate the
+        # pending burst (due at the old gap) still sends, then hands over
+        # to a new train on the new lane.
+        if epoch != self._epoch:
+            return False
+        self._send_burst()
+        if self._train_lane is self._gap_lane:
+            return True
+        self._start_train(epoch)
+        return False
 
 
 def effective_probe_rate(token_rate_bps: float, bucket_bytes: int,

@@ -39,6 +39,8 @@ class ConstantRateSource(Source):
             raise ConfigurationError(f"rate must be positive, got {rate_bps!r}")
         self.rate_bps = rate_bps
         self._tick_lane = sim.lane(self.interval)
+        # The lane the running train is on; set_rate moves _tick_lane.
+        self._train_lane = self._tick_lane
 
     @property
     def interval(self) -> float:
@@ -52,10 +54,21 @@ class ConstantRateSource(Source):
         self.rate_bps = rate_bps
         self._tick_lane = self.sim.lane(self.interval)
 
-    def _tick(self, epoch: int) -> None:
-        if epoch != self._epoch:
-            return
-        self._emit()
-        self._tick_lane.call(self._tick, epoch)
+    def _on_start(self, epoch: int) -> None:
+        self._emit(epoch)
+        self._start_train(epoch)
 
-    _on_start = _tick
+    def _start_train(self, epoch: int) -> None:
+        self._train_lane = lane = self._tick_lane
+        lane.every(self._tick, epoch)
+
+    def _tick(self, epoch: int) -> bool:
+        # A train tick goes on while its lane is the current one.  After
+        # set_rate, the pending tick (due at the old interval) still sends,
+        # then hands over to a new train on the new lane.
+        if not self._emit(epoch):
+            return False
+        if self._train_lane is self._tick_lane:
+            return True
+        self._start_train(epoch)
+        return False

@@ -59,7 +59,7 @@ class OnOffSource(Source):
         self.mean_on = mean_on
         self.mean_off = mean_off
         self.rng = rng
-        # A burst is a fixed-interval train: its ticks ride a constant-delay
+        # A burst is a fixed-interval train (Lane.every) on a constant-delay
         # lane (shared by every source with the same packet interval).
         self._tick_lane = sim.lane(packet_bytes * BITS_PER_BYTE / burst_rate_bps)
 
@@ -79,13 +79,13 @@ class OnOffSource(Source):
 
     # -- state machine -------------------------------------------------------
     #
-    # Every state change bumps the epoch as well, so the ticks of an ON
-    # period die with it.
+    # Every state change bumps the epoch as well, so the train of an ON
+    # period ends with it: its next tick sends nothing and returns False.
 
     def _on_start(self, epoch: int) -> None:
         if self.mean_off == 0:
             # Always on: one ON period that never ends, with no draws.
-            self._emit_tick(epoch)
+            self._start_burst(epoch)
             return
         duty = self.mean_on / (self.mean_on + self.mean_off)
         if self.rng.random() < duty:
@@ -98,7 +98,7 @@ class OnOffSource(Source):
             return
         self._epoch = epoch = epoch + 1
         self.sim.call(self._draw_on(), self._begin_off, epoch)
-        self._emit_tick(epoch)
+        self._start_burst(epoch)
 
     def _begin_off(self, epoch: int) -> None:
         if epoch != self._epoch:
@@ -106,11 +106,10 @@ class OnOffSource(Source):
         self._epoch = epoch = epoch + 1
         self.sim.call(self._draw_off(), self._begin_on, epoch)
 
-    def _emit_tick(self, epoch: int) -> None:
-        if epoch != self._epoch:
-            return
-        self._emit()
-        self._tick_lane.call(self._emit_tick, epoch)
+    def _start_burst(self, epoch: int) -> None:
+        """Send the first packet of an ON period, then the rest as a train."""
+        self._emit(epoch)
+        self._tick_lane.every(self._emit, epoch)
 
 
 class ExponentialOnOffSource(OnOffSource):

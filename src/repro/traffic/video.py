@@ -144,26 +144,30 @@ class SyntheticVideoSource(Source):
         self.bucket = TokenBucket(token_rate_bps, token_bucket_bytes)
         self._frames = self.model.frames(rng)
         self._frame_interval = 1.0 / FRAME_RATE
+        # Frames are a fixed-interval train on the 1/24-s lane.
+        self._frame_lane = sim.lane(self._frame_interval)
         self.frames_emitted = 0
         self.shaped_packets = 0
 
-    def _frame_tick(self, epoch: int) -> None:
+    def _on_start(self, epoch: int) -> None:
+        self._frame_tick(epoch)
+        self._frame_lane.every(self._frame_tick, epoch)
+
+    def _frame_tick(self, epoch: int) -> bool:
         if epoch != self._epoch:
-            return
+            return False
         frame_bytes = next(self._frames)
         self.frames_emitted += 1
         n_packets = max(1, int(np.ceil(frame_bytes / self.packet_bytes)))
         spacing = self._frame_interval / n_packets
         for k in range(n_packets):
             self.sim.call(k * spacing, self._emit_policed, epoch)
-        self.sim.call(self._frame_interval, self._frame_tick, epoch)
+        return True
 
     def _emit_policed(self, epoch: int) -> None:
         if epoch != self._epoch:
             return
         if self.bucket.conforms(self.packet_bytes, self.sim.now):
-            self._emit()
+            self._emit(self._epoch)
         else:
             self.shaped_packets += 1
-
-    _on_start = _frame_tick

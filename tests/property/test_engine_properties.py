@@ -88,7 +88,11 @@ def test_clock_is_monotone_under_chained_scheduling(ds):
 # ``call_chained``) always fire ``fire(packed)``; the general ones draw their
 # callback's ``form``, an (arity, style) pair: 0, 1 or 3 arguments to a bound
 # method, a closure or a C-level callable, so the engine's zero-argument
-# unbinding and both trampolines meet the same reference calendar.  ``("cancel", k)`` cancels the k-th
+# unbinding and both trampolines meet the same reference calendar.  A
+# ``("train", delay, ticks, children)`` operation starts a ``Lane.every``
+# train that fires ``ticks`` times, issuing its children each time, and
+# then returns False; the reference calendar spells it as a tick that
+# reschedules itself at its end.  ``("cancel", k)`` cancels the k-th
 # handle obtained so far and ``("stop",)`` halts the run from inside the
 # callback; a drive resumes a stopped run, so stopping never changes what
 # fires.  The engine — through ``run``, a ``step`` loop, split ``run(until)``
@@ -108,13 +112,24 @@ tie_prone_delays = st.one_of(
 )
 cancels = st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40))
 stops = st.just(("stop",))
+# A train needs a positive delay: on lane(0) it would never leave the instant.
+train_delays = tie_prone_delays.filter(lambda delay: delay > 0)
+ticks = st.integers(min_value=1, max_value=3)
+
+
+def _operation(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(KINDS), tie_prone_delays, st.sampled_from(FORMS),
+                  children),
+        st.tuples(st.just("train"), train_delays, ticks, children),
+    )
+
+
 programs = st.lists(
     st.recursive(
-        st.tuples(st.sampled_from(KINDS), tie_prone_delays, st.sampled_from(FORMS),
-                  st.just(())),
-        lambda children: st.tuples(
-            st.sampled_from(KINDS), tie_prone_delays, st.sampled_from(FORMS),
-            st.lists(st.one_of(children, cancels, stops), max_size=4).map(tuple),
+        _operation(st.just(())),
+        lambda children: _operation(
+            st.lists(st.one_of(children, cancels, stops), max_size=4).map(tuple)
         ),
         max_leaves=25,
     ),
@@ -143,6 +158,13 @@ class ReferenceCalendar:
         entry = [self.now + delay, self.scheduled, fn, args, True]
         bisect.insort(self._pending, entry)  # (time, seq); seq is unique
         return entry if kind in HANDLE_KINDS else None
+
+    def every(self, delay, fn, arg):
+        def tick(arg):
+            if fn(arg) is True:
+                self.add("lane", delay, tick, arg)
+
+        self.add("lane", delay, tick, arg)
 
     def cancel(self, entry):
         if entry[4]:
@@ -194,6 +216,9 @@ class EngineCalendar:
             sim.lane(delay).call(fn, arg)
         return None
 
+    def every(self, delay, fn, arg):
+        self.sim.lane(delay).every(fn, arg)
+
     def cancel(self, handle):
         handle.cancel()
 
@@ -242,6 +267,23 @@ def execute(program, calendar):
         def fire3(self, seq, label, children):
             fire((seq, label, children))
 
+    class Train:
+        """Fires ``ticks`` times; each firing logs the ``seq`` it fired with."""
+
+        def __init__(self, label, ticks, children):
+            self.label, self.left, self.children = label, ticks, children
+            self.seq = calendar.scheduled + 1
+            self.fired = 0
+
+        def fire(self, _arg):
+            self.fired += 1
+            label = f"{self.label}#{self.fired}"
+            log.append((calendar.now, self.seq, label))
+            issue(self.children, label)
+            self.left -= 1
+            self.seq = calendar.scheduled + 1  # what the re-arm takes
+            return self.left > 0
+
     def callback(kind, form, packed):
         """``(fn, args)`` scheduling one event of ``kind`` in ``form``."""
         if kind in UNARY_KINDS:
@@ -272,6 +314,10 @@ def execute(program, calendar):
                 calendar.stop()
                 continue
             kind, delay, form, children = operation
+            if kind == "train":
+                train = Train(f"{prefix}/{i}", form, children)
+                calendar.every(delay, train.fire, None)
+                continue
             fn, args = callback(
                 kind, form, (calendar.scheduled + 1, f"{prefix}/{i}", children),
             )

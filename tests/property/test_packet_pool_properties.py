@@ -60,7 +60,7 @@ def _source(flow: FlowAccounting, size: int = 100, kind: int = DATA,
 
 
 def _emit(source: Source, hold: _Hold) -> Packet:
-    source._emit()
+    source._emit(source._epoch)
     return hold.held.pop()
 
 

@@ -4,16 +4,20 @@ A lane event takes its ``seq`` exactly where ``sim.call`` would, and the
 dispatch loop merges lanes, heap and chain slot on ``(time, seq)`` — so
 everything here is phrased as "indistinguishable from ``sim.call``", plus
 the bookkeeping (``pending`` / ``scheduled`` / parking at ``until``) that
-has to count events wherever they wait.
+has to count events wherever they wait.  A train (``Lane.every``) is in
+turn indistinguishable from a callback that ends with ``Lane.call`` of
+itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.profile import CallbackProfile
 from repro.net.link import OutputPort
 from repro.net.packet import FlowAccounting
 from repro.net.queues import DropTailFifo
@@ -116,6 +120,133 @@ def test_lane_call_matches_sim_call_event_for_event():
         return fired, sim.scheduled, sim.events_processed
 
     assert load(_via_other_lane) == load(_via_heap)
+
+
+# -- trains ------------------------------------------------------------------
+
+
+class _Ticker:
+    """A fixed-interval callback that goes on for ``ticks`` firings."""
+
+    def __init__(self, sim, log, label, ticks):
+        self.sim, self.log, self.label, self.left = sim, log, label, ticks
+
+    def tick(self, arg):
+        self.log.append((self.sim.now, self.label, arg, self.sim.scheduled))
+        self.left -= 1
+        if self.left and self.label != "heap":
+            # Same-time company for the next tick, scheduled inside this one.
+            self.sim.call(0.5, self.log.append, (self.label, "tie"))
+        return self.left > 0
+
+
+def _start_train(lane, ticker, arg):
+    lane.every(ticker.tick, arg)
+
+
+def _start_self_rescheduling(lane, ticker, arg):
+    def tick(arg):
+        if ticker.tick(arg) is True:
+            lane.call(tick, arg)
+
+    lane.call(tick, arg)
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_train_matches_a_callback_that_reschedules_itself(drive):
+    def load(start):
+        sim = Simulator()
+        log = []
+        for n, delay in enumerate((0.5, 0.5, 0.25)):
+            start(sim.lane(delay), _Ticker(sim, log, f"train{n}", 5), n)
+        heap = _Ticker(sim, log, "heap", 1)
+        for t in (0.5, 1.0, 1.0, 1.25):
+            sim.call(t, heap.tick, t)
+        if drive == "run":
+            sim.run()
+        else:
+            while sim.step():
+                pass
+        return log, sim.scheduled, sim.events_processed, sim.now
+
+    assert load(_start_train) == load(_start_self_rescheduling)
+
+
+def test_train_rearms_its_own_record_with_the_next_seq(sim):
+    lane = sim.lane(1.0)
+    lane.every(lambda _: True, None)
+    record = lane._queue[0]
+    sim.call(0.5, sim.call, 0.0, lambda: None)      # takes seq 2 and 3
+    for seq, when in ((4, 2.0), (5, 3.0)):
+        while sim.now < when - 1.0:
+            assert sim.step()
+        assert lane._queue[0] is record
+        assert record[:2] == [when, seq] and record[4]
+        assert sim.scheduled == seq
+
+
+@pytest.mark.parametrize("result", [False, None, 1])
+def test_anything_but_true_ends_a_train(sim, result):
+    fired = []
+
+    def tick(arg):
+        fired.append(sim.now)
+        return result
+
+    sim.lane(1.0).every(tick, None)
+    sim.run(until=5.0)
+    assert fired == [1.0]
+    assert sim.pending == 0 and sim.scheduled == 1
+
+
+@pytest.mark.parametrize("schedule", [_via_heap, _via_chain, _via_other_lane])
+def test_true_from_a_one_shot_event_is_ignored(sim, schedule):
+    fired = []
+
+    def tick(arg):
+        fired.append(sim.now)
+        return True
+
+    schedule(sim, 1.0, tick, None)
+    sim.run()
+    assert fired == [1.0]
+    assert sim.pending == 0 and sim.scheduled == 1
+
+
+def test_counters_count_train_events(sim):
+    ticker = _Ticker(sim, [], "train", 3)
+    sim.lane(1.0).every(ticker.tick, None)
+    assert sim.pending == 1 and sim.scheduled == 1
+    sim.run(until=1.25)
+    assert sim.pending == 2 and sim.scheduled == 3   # next tick and a tie
+    sim.run()
+    assert sim.pending == 0
+    assert sim.events_processed == 5 and sim.scheduled == 5
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_profile_keys_a_train_by_its_callback(strict, streams):
+    sim = Simulator(strict=strict)
+    profile = CallbackProfile(itertools.count().__next__)
+    sim.enable_profiling(profile)
+    sim.lane(0.5).every(_Ticker(sim, [], "train", 3).tick, None)
+    sim.lane(0.5).call(_Ticker(sim, [], "one-shot", 1).tick, None)
+    sim.run()
+    assert profile.calls == {"_Ticker.tick": 4, "list.append": 2}
+
+    sim = Simulator(strict=strict)
+    profile = CallbackProfile(itertools.count().__next__)
+    sim.enable_profiling(profile)
+    port = OutputPort(sim, 1e6, DropTailFifo(10), prop_delay=0.002, name="a")
+    onoff = ExponentialOnOffSource(          # always on: one endless train
+        sim, [port], Sink(sim), FlowAccounting(1), 1e5, 0.5, 0.0, 125,
+        streams.get("s"),
+    )
+    onoff.start()
+    sim.run(until=0.995)
+    assert profile.calls == {
+        "Source._emit": 99, "OutputPort._tx_done": 100, "Sink.receive": 100,
+    }
 
 
 # -- horizons --------------------------------------------------------------------

@@ -202,6 +202,18 @@ def test_det003_sorted_set_is_clean():
     assert codes_for(source) == []
 
 
+def test_det003_a_module_starting_trains_is_a_scheduling_module():
+    source = """
+    def start(lane, source):
+        lane.every(source.emit, 0)
+
+    def bad(items):
+        for item in set(items):
+            print(item)
+    """
+    assert codes_for(source) == ["DET003"]
+
+
 def test_det003_silent_outside_scheduling_modules():
     source = """
         def pure(items):
@@ -284,6 +296,26 @@ def test_sim001_lane_lambda_over_loop_variable():
                 lane.call(lambda: print(item))
     """
     assert codes_for(source) == ["SIM001"]
+
+
+def test_sim001_lane_every_lambda_over_loop_variable():
+    source = """
+        def f(sim, items):
+            lane = sim.lane(0.5)
+            for item in items:
+                lane.every(lambda _: print(item), None)
+    """
+    assert codes_for(source) == ["SIM001"]
+
+
+def test_sim001_lane_every_is_clean():
+    source = """
+        def f(sim, source, epochs):
+            lane = sim.lane(0.5)
+            for epoch in epochs:
+                lane.every(source.emit, epoch)
+    """
+    assert codes_for(source) == []
 
 
 def test_sim001_lane_call_is_clean():
